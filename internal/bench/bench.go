@@ -106,7 +106,7 @@ func All() []Experiment {
 		{"fig6l", "Fig 6l: scalability vs |G|", Fig6l},
 		{"ablation", "Extension: per-rule ablation of GAP (R1/R2/R3/tuner)", Ablation},
 		{"faults", "Extension: crash-recovery and link-fault overhead sweep", FaultSweep},
-		{"perf", "Extension: live hot-path baseline (pooled batches, intra-worker shards)", Perf},
+		{"perf", "Extension: live PageRank vs the sequential oracle (COST ratio, oracle checks)", Perf},
 		{"recovery", "Extension: lost work and latency, global rollback vs localized recovery", Recovery},
 		{"memory", "Extension: wall-clock vs memory cap — spill tier, backpressure, degradation ladder", Memory},
 		{"incremental", "Extension: re-convergence after 1% churn vs full recompute (evolving graphs)", Incremental},

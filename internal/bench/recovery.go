@@ -21,19 +21,18 @@ const recWorkers = 4
 // RecoveryModeResult is the measured cost of surviving one mid-run crash
 // under one recovery strategy.
 type RecoveryModeResult struct {
-	Mode          string    `json:"mode"`
-	Reps          int       `json:"reps"`
-	Updates       []int64   `json:"updates"`
-	UpdatesMedian float64   `json:"updates_median"`
+	Mode          string  `json:"mode"`
+	Reps          int     `json:"reps"`
+	Updates       []int64 `json:"updates"`
+	UpdatesMedian float64 `json:"updates_median"`
 	// LostWorkRatio is (median updates - fault-free updates) / fault-free
 	// updates: the fraction of the computation redone because of the crash.
 	// Global rollback re-executes every worker's post-checkpoint work;
 	// localized recovery re-executes only the victim's.
 	LostWorkRatio float64   `json:"lost_work_ratio"`
 	RecoveryMS    []float64 `json:"recovery_ms"`
-	// RecoveryMSMedian is the median detection-to-respawn latency (local
-	// mode only; global recoveries park the whole cluster instead and
-	// report 0).
+	// RecoveryMSMedian is the median detection-to-respawn latency: for a
+	// global rollback, detection to the release of the whole cluster.
 	RecoveryMSMedian float64 `json:"recovery_ms_median"`
 	EpochsTotal      int64   `json:"epochs_total"`
 	ReplayedTotal    int64   `json:"replayed_total"`

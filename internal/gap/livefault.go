@@ -257,6 +257,9 @@ func (d *liveDriver[V]) detectDead(now time.Duration) int {
 			d.ctrl.dead[i] = true
 			d.ctrl.nDead++
 			newDead++
+			if d.detectAt != nil {
+				d.detectAt[i] = now
+			}
 			if tr := d.cfg.Tracer; tr != nil {
 				tr.Mark(i, obs.MarkDetect, float64(now)/1e3)
 			}
@@ -405,12 +408,14 @@ func (d *liveDriver[V]) runRecovery() bool {
 	d.ctrl.mu.Lock()
 	var deads []int
 	restartMS := 0.0
+	detected := now
 	recoverable, pending := true, false
 	for i, dd := range d.ctrl.dead {
 		if !dd {
 			continue
 		}
 		deads = append(deads, i)
+		detected = min(detected, d.detectAt[i])
 		if r := d.ctrl.restart[i]; r == liveRestartUnknown {
 			if now-time.Duration(d.ctrl.beats[i].Load()) <= d.deathGrace() {
 				pending = true
@@ -474,5 +479,7 @@ func (d *liveDriver[V]) runRecovery() bool {
 		d.wg.Add(1)
 		go d.worker(d.states[i], epoch)
 	}
+	d.ctrl.phase.Store(ctrlRun)
+	d.recoveryNS.Add(int64(sinceFn(d.start) - detected))
 	return true
 }

@@ -109,6 +109,25 @@ func TestLiveCrashRecoveryMatchesFaultFree(t *testing.T) {
 	})
 }
 
+// TestLiveGlobalRecoveryTimed: a global rollback is timed like a local
+// recovery — RecoveryMS covers detection to the release of the cluster, so a
+// run that crashed and restarted must report a positive recovery time.
+func TestLiveGlobalRecoveryTimed(t *testing.T) {
+	g := testGraph(true, 3)
+	cfg := liveFTConfig(ModeGAP)
+	cfg.Faults = faultPlan(t, "crash=1@u40+10")
+	_, lm, err := RunLive(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)
+	if err != nil {
+		t.Fatalf("RunLive: %v", err)
+	}
+	if lm.Recovery != RecoveryGlobal || lm.Crashes != 1 {
+		t.Fatalf("recovery=%q crashes=%d, want global and 1", lm.Recovery, lm.Crashes)
+	}
+	if lm.Epochs < 1 || lm.RecoveryMS <= 0 {
+		t.Fatalf("epochs=%d recovery_ms=%v, want >= 1 and > 0", lm.Epochs, lm.RecoveryMS)
+	}
+}
+
 // TestLiveChaosMix layers crashes, slowdowns and link faults (seeded from
 // CHAOS_SEED so CI explores different deterministic streams) over an SSSP
 // run; the answers must still be exact.

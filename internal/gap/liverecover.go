@@ -216,35 +216,30 @@ func (st *liveState[V]) applyFrom(s int, seq uint64, msgs []ace.Message[V]) {
 // applied (draining any buffered successors). The caller has already counted
 // the envelope as received — the termination ledger counts transport
 // deliveries, not applications.
-func (st *liveState[V]) seqIngest(env liveEnvelope[V], pool *batchPool[V], pooled bool) {
+func (st *liveState[V]) seqIngest(env liveEnvelope[V], pool *batchPool[V]) {
 	rs := st.rs
 	s := int(env.from)
-	recycle := func(m []ace.Message[V]) {
-		if pooled {
-			pool.put(m)
-		}
-	}
 	if env.inc != rs.expInc[s] {
 		if env.inc > rs.expInc[s] {
 			// Protocol violation (a restarted sender ships only after every
 			// survivor acked its rollback); drop defensively.
-			recycle(env.msgs)
+			pool.put(env.msgs)
 			return
 		}
 		// Old incarnation: only its committed prefix survives the rollback —
 		// everything past the stable cut is re-derived by the restarted
 		// sender and must not be double-applied.
 		if env.seq > rs.boundLimit(s, env.inc) {
-			recycle(env.msgs)
+			pool.put(env.msgs)
 			return
 		}
 	}
 	switch {
 	case env.seq <= rs.cursor[s]:
-		recycle(env.msgs) // duplicate
+		pool.put(env.msgs) // duplicate
 	case env.seq == rs.cursor[s]+1:
 		st.applyFrom(s, env.seq, env.msgs)
-		recycle(env.msgs)
+		pool.put(env.msgs)
 		rs.cursor[s] = env.seq
 		for {
 			m, ok := rs.robuf[s][rs.cursor[s]+1]
@@ -255,14 +250,14 @@ func (st *liveState[V]) seqIngest(env liveEnvelope[V], pool *batchPool[V], poole
 			rs.noteBuf(-len(m))
 			rs.cursor[s]++
 			st.applyFrom(s, rs.cursor[s], m)
-			recycle(m)
+			pool.put(m)
 		}
 	default:
 		if rs.robuf[s] == nil {
 			rs.robuf[s] = make(map[uint64][]ace.Message[V])
 		}
 		if _, dup := rs.robuf[s][env.seq]; dup {
-			recycle(env.msgs)
+			pool.put(env.msgs)
 		} else {
 			rs.robuf[s][env.seq] = env.msgs
 			rs.noteBuf(len(env.msgs))

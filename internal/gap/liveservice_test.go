@@ -62,9 +62,10 @@ func TestLiveCancelPreClosed(t *testing.T) {
 	}
 }
 
-// TestLivePanicFaultContained: an injected worker panic (fault clause
-// "panic=W@uN") must surface as a contained run failure wrapping
-// ErrWorkerPanic — never a process crash — with the worker identified.
+// TestLivePanicFaultContained: a panic on a worker goroutine — an injected
+// one (fault clause "panic=W@uN") or one raised by a broken Update — must
+// surface as a contained run failure wrapping ErrWorkerPanic, never a
+// process crash, with the worker or the panic payload identified.
 func TestLivePanicFaultContained(t *testing.T) {
 	g := testGraph(true, 43)
 	cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 1}
@@ -76,11 +77,22 @@ func TestLivePanicFaultContained(t *testing.T) {
 	if !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), "injected panic") {
 		t.Fatalf("panic error lacks attribution: %v", err)
 	}
+
+	var calls atomic.Int64
+	factory := func() ace.Program[float64] {
+		return &bombProg{Program: algorithms.NewSSSP()(), calls: &calls, at: 25}
+	}
+	_, _, err = RunLive(frags(t, testGraph(true, 44), 2), factory, ace.Query{Source: 0}, LiveConfig{Mode: ModeGAP})
+	if !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("update panic: want ErrWorkerPanic, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "update bomb") {
+		t.Fatalf("panic payload lost: %v", err)
+	}
 }
 
-// bombProg wraps a real program and panics on the Nth Update call — from
-// whatever goroutine happens to run it, which under IntraParallelism > 1 is
-// a shard goroutine inside the parallel sweep.
+// bombProg wraps a real program and panics on the Nth Update call, on
+// whichever worker goroutine makes it.
 type bombProg struct {
 	ace.Program[float64]
 	calls *atomic.Int64
@@ -92,27 +104,6 @@ func (p *bombProg) Update(ctx *ace.Ctx[float64], local uint32) {
 		panic("test: update bomb")
 	}
 	p.Program.Update(ctx, local)
-}
-
-func (p *bombProg) ShardSafe() bool { return true }
-
-// TestLivePanicInShardContained: a panic raised on a shard goroutine of the
-// intra-parallel evaluator must propagate to the worker (after the wave
-// barrier, so no shard goroutine leaks) and fail the run contained.
-func TestLivePanicInShardContained(t *testing.T) {
-	g := testGraph(true, 44)
-	var calls atomic.Int64
-	factory := func() ace.Program[float64] {
-		return &bombProg{Program: algorithms.NewSSSP()(), calls: &calls, at: 25}
-	}
-	cfg := LiveConfig{Mode: ModeGAP, IntraParallelism: 4}
-	_, _, err := RunLive(frags(t, g, 2), factory, ace.Query{Source: 0}, cfg)
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("want ErrWorkerPanic, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "update bomb") {
-		t.Fatalf("panic payload lost: %v", err)
-	}
 }
 
 // TestPeerEtaReseedAfterNeighborRestart: after a localized recovery, the

@@ -3,6 +3,11 @@
 // Chrome trace (one span track per worker, loadable in Perfetto) and CSV
 // time series (η_i, φ_i, active-set size, mailbox depth over time).
 //
+// Each worker's track is written by that worker alone: under the live
+// driver one goroutine per worker runs every Update of its fragment, so
+// its spans nest strictly and never overlap. Control-plane spans
+// (recovery, replay) go on a coordinator track past the last worker.
+//
 // The design goal is a clean hot path: drivers hold a Tracer interface that
 // is nil when tracing is off, so the disabled cost is a single nil check and
 // no allocation per event site. Timestamps are supplied by the caller — the
@@ -37,10 +42,6 @@ const (
 	// first survivor replaying its logged batches to the restored worker
 	// until the last replayer drains (coordinator track).
 	PhaseReplay
-	// PhaseMerge spans the deterministic shard-merge of one sharded
-	// local-evaluation wave (live driver, IntraParallelism > 1): the
-	// single-threaded Set/Send/Activate publication after the pool joins.
-	PhaseMerge
 	// PhaseSpill spans a synchronous page-out to the spill tier (fragment
 	// edge partitions under StageStream).
 	PhaseSpill
@@ -69,8 +70,6 @@ func (p Phase) String() string {
 		return "checkpoint"
 	case PhaseReplay:
 		return "replay"
-	case PhaseMerge:
-		return "merge"
 	case PhaseSpill:
 		return "spill_io"
 	case PhaseThrottle:
