@@ -369,6 +369,10 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 	if o.soak < 0 {
 		return fmt.Errorf("-soak must be >= 0, got %d", o.soak)
 	}
+	app, err := core.LiveApp(o.app)
+	if err != nil {
+		return err
+	}
 	env := core.Env{Workers: o.n, Hetero: o.hetero}
 	frags, err := env.Fragments(g)
 	if err != nil {
@@ -386,6 +390,7 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 		}
 	}
 	q := ace.Query{Source: graph.VID(o.source), Eps: o.eps}
+	want := app.Reference(g, q)
 	cfg := gap.LiveConfig{Mode: gap.ModeGAP, Recovery: o.recovery, NoRecover: o.noRecover}
 	var rec *obs.Recorder
 	if o.wantsRecorder() {
@@ -435,43 +440,6 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 		}()
 	}
 
-	// The per-iteration runner: execute one live run and count wrong
-	// vertices against the precomputed sequential reference.
-	var once func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error)
-	switch o.app {
-	case "sssp":
-		want := algorithms.SeqSSSP(g, graph.VID(o.source))
-		once = func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return liveSoakOnce(frags, algorithms.NewSSSP(), q, cfg, want,
-				func(got, w float64) bool { return got == w })
-		}
-	case "bfs":
-		want := algorithms.SeqBFS(g, graph.VID(o.source))
-		once = func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return liveSoakOnce(frags, algorithms.NewBFS(), q, cfg, want,
-				func(got, w int32) bool {
-					if w < 0 { // Seq marks unreachable -1; the engine leaves Init's MaxInt32
-						return got == math.MaxInt32
-					}
-					return got == w
-				})
-		}
-	case "wcc":
-		want := algorithms.SeqWCC(g)
-		once = func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return liveSoakOnce(frags, algorithms.NewWCC(), q, cfg, want,
-				func(got, w uint32) bool { return got == w })
-		}
-	case "pr":
-		want := algorithms.SeqPageRank(g, o.eps)
-		once = func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return liveSoakOnce(frags, algorithms.NewPageRank(), q, cfg, want,
-				func(got, w float64) bool { return math.Abs(got-w) <= 0.02*(w+1) })
-		}
-	default:
-		return fmt.Errorf("app %q does not run under the live driver (want sssp, bfs, wcc or pr)", o.app)
-	}
-
 	iters := o.soak
 	if iters < 1 {
 		iters = 1
@@ -496,7 +464,7 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 			gov = mem.NewGovernor(o.memBudget, o.spillDir)
 			c.Mem = gov
 		}
-		lm, wrong, err := once(c)
+		run, err := app.Run(frags, q, c)
 		if gov != nil {
 			gov.Close()
 			// Fragments are shared across iterations; a StageStream run may
@@ -510,6 +478,7 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 		if err != nil {
 			return fmt.Errorf("soak run %d/%d: %w", it+1, iters, err)
 		}
+		lm, wrong := run.Metrics, app.Wrong(run.Values, want)
 		crashes += lm.Crashes
 		recoveries += lm.Recoveries
 		epochs += lm.Epochs
@@ -564,21 +533,6 @@ func runLiveSoak(stdout, stderr io.Writer, o options, g *graph.Graph) error {
 		return fmt.Errorf("%d of %d soak runs diverged from the sequential reference", bad, iters)
 	}
 	return nil
-}
-
-// liveSoakOnce runs one live execution and verifies it vertex-by-vertex.
-func liveSoakOnce[V any, W any](frags []*graph.Fragment, f ace.Factory[V], q ace.Query, cfg gap.LiveConfig, want []W, eq func(got V, w W) bool) (*gap.LiveMetrics, int, error) {
-	res, lm, err := gap.RunLive(frags, f, q, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	wrong := 0
-	for v := range want {
-		if !eq(res.Values[v], want[v]) {
-			wrong++
-		}
-	}
-	return lm, wrong, nil
 }
 
 // printTop recomputes the answer under Argan's defaults and prints a small

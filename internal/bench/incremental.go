@@ -3,13 +3,11 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"time"
 
 	"argan/internal/ace"
-	"argan/internal/algorithms"
 	"argan/internal/core"
 	"argan/internal/gap"
 	"argan/internal/graph"
@@ -156,16 +154,14 @@ func incVersions(nv, rounds int) ([]incVersion, error) {
 // answer is verified against the sequential reference on that version, and
 // its fixpoint becomes the prior for the next round — so the chain measures
 // repeated increments, not one.
-func measureIncremental[V any, W any](app string, vs []incVersion, reps int,
-	factory ace.Factory[V], q ace.Query, cfg gap.LiveConfig,
-	plan func(i int, prior *gap.Result[V]) *ace.WarmState[V],
-	ref func(g *graph.Graph) []W, eq func(V, W) bool,
+func measureIncremental(app core.LiveEntry, vs []incVersion, reps int, q ace.Query, cfg gap.LiveConfig,
 	enforced bool) (IncrementalAppResult, error) {
 
-	ar := IncrementalAppResult{App: app, RatioTarget: incRatioTarget, Enforced: enforced}
-	timed := func(run func() (*gap.Result[V], error)) (*gap.Result[V], float64, error) {
+	name := app.Name()
+	ar := IncrementalAppResult{App: name, RatioTarget: incRatioTarget, Enforced: enforced}
+	timed := func(run func() (*core.LiveRun, error)) (*core.LiveRun, float64, error) {
 		var best float64
-		var last *gap.Result[V]
+		var last *core.LiveRun
 		for k := 0; k < reps; k++ {
 			t0 := time.Now()
 			res, err := run()
@@ -180,49 +176,37 @@ func measureIncremental[V any, W any](app string, vs []incVersion, reps int,
 		}
 		return last, best, nil
 	}
-	verify := func(got []V, g *graph.Graph) (int, []W) {
-		want := ref(g)
-		wrong := 0
-		for i := range want {
-			if !eq(got[i], want[i]) {
-				wrong++
-			}
-		}
-		return wrong, want
-	}
+	verify := func(got any, g *graph.Graph) int { return app.Wrong(got, app.Reference(g, q)) }
 
-	prior, cold, err := timed(func() (*gap.Result[V], error) {
-		res, _, err := gap.RunLive(vs[0].frags, factory, q, cfg)
-		return res, err
-	})
+	prior, cold, err := timed(func() (*core.LiveRun, error) { return app.Run(vs[0].frags, q, cfg) })
 	if err != nil {
-		return ar, fmt.Errorf("%s cold: %w", app, err)
+		return ar, fmt.Errorf("%s cold: %w", name, err)
 	}
 	ar.ColdMS = cold
-	if wrong, _ := verify(prior.Values, vs[0].g); wrong > 0 {
-		return ar, fmt.Errorf("%s cold fixpoint diverged: %d wrong", app, wrong)
+	if wrong := verify(prior.Values, vs[0].g); wrong > 0 {
+		return ar, fmt.Errorf("%s cold fixpoint diverged: %d wrong", name, wrong)
 	}
 
 	var sumRatio float64
 	for i := 1; i < len(vs); i++ {
 		v := vs[i]
-		_, recompute, err := timed(func() (*gap.Result[V], error) {
-			res, _, err := gap.RunLive(v.frags, factory, q, cfg)
-			return res, err
-		})
+		_, recompute, err := timed(func() (*core.LiveRun, error) { return app.Run(v.frags, q, cfg) })
 		if err != nil {
-			return ar, fmt.Errorf("%s recompute v%d: %w", app, i, err)
+			return ar, fmt.Errorf("%s recompute v%d: %w", name, i, err)
 		}
-		warm, inc, err := timed(func() (*gap.Result[V], error) {
+		warm, inc, err := timed(func() (*core.LiveRun, error) {
 			wq := q
-			wq.Warm = plan(i, prior)
-			res, _, err := gap.RunLive(v.frags, factory, wq, cfg)
-			return res, err
+			ws, err := app.Plan(vs[i-1].g, v.g, v.touched, prior.Values, prior.Psi, q)
+			if err != nil {
+				return nil, err
+			}
+			wq.Warm = ws
+			return app.Run(v.frags, wq, cfg)
 		})
 		if err != nil {
-			return ar, fmt.Errorf("%s incremental v%d: %w", app, i, err)
+			return ar, fmt.Errorf("%s incremental v%d: %w", name, i, err)
 		}
-		wrong, _ := verify(warm.Values, v.g)
+		wrong := verify(warm.Values, v.g)
 		round := IncrementalRound{
 			Version: v.g.Version(), ChurnOps: v.churnOps,
 			TouchedVertices: len(v.touched), RebuiltFragments: v.rebuilt,
@@ -231,7 +215,7 @@ func measureIncremental[V any, W any](app string, vs []incVersion, reps int,
 		}
 		ar.Rounds = append(ar.Rounds, round)
 		if wrong > 0 {
-			return ar, fmt.Errorf("%s increment to v%d diverged from sequential reference: %d wrong", app, i, wrong)
+			return ar, fmt.Errorf("%s increment to v%d diverged from sequential reference: %d wrong", name, i, wrong)
 		}
 		sumRatio += round.Ratio
 		prior = warm
@@ -270,71 +254,21 @@ func Incremental(o Options) error {
 		Rounds: rounds, Reps: reps,
 	}
 	cfg := gap.LiveConfig{Mode: gap.ModeGAP, CheckEvery: 64}
-	src := pickSource(g0)
-	const eps = 1e-3
+	q := ace.Query{Source: pickSource(g0), Eps: 1e-3}
 
 	fmt.Fprintf(o.Out, "== incremental: re-convergence after %.0f%% churn vs full recompute (power-law |V|=%d, arcs=%d, n=%d, reps=%d) ==\n",
 		100*incChurnFrac, g0.NumVertices(), g0.NumEdges(), incWorkers, reps)
 
-	prRes, err := measureIncremental("pr", vs, reps, algorithms.NewPageRank(), ace.Query{Eps: eps}, cfg,
-		func(i int, prior *gap.Result[float64]) *ace.WarmState[float64] {
-			return algorithms.WarmPageRank(vs[i-1].g, vs[i].g, vs[i].touched, prior.Psi, prior.Values, eps)
-		},
-		func(g *graph.Graph) []float64 { return algorithms.SeqPageRank(g, eps) },
-		func(got, w float64) bool { return math.Abs(got-w) <= 0.02*(w+1) },
-		true)
-	if err != nil {
-		return err
+	for _, app := range core.LiveApps() {
+		// PageRank and SSSP carry the acceptance bar; BFS and WCC are
+		// reported for the record.
+		enforced := app.Name() == "pr" || app.Name() == "sssp"
+		res, err := measureIncremental(app, vs, reps, q, cfg, enforced)
+		if err != nil {
+			return err
+		}
+		rep.Apps = append(rep.Apps, res)
 	}
-	rep.Apps = append(rep.Apps, prRes)
-
-	ssspRes, err := measureIncremental("sssp", vs, reps, algorithms.NewSSSP(), ace.Query{Source: src}, cfg,
-		func(i int, prior *gap.Result[float64]) *ace.WarmState[float64] {
-			return algorithms.WarmSSSP(vs[i-1].g, vs[i].g, vs[i].touched, prior.Values, src)
-		},
-		func(g *graph.Graph) []float64 { return algorithms.SeqSSSP(g, src) },
-		func(got, w float64) bool { return got == w },
-		true)
-	if err != nil {
-		return err
-	}
-	rep.Apps = append(rep.Apps, ssspRes)
-
-	bfsRes, err := measureIncremental("bfs", vs, reps, algorithms.NewBFS(), ace.Query{Source: src}, cfg,
-		func(i int, prior *gap.Result[int32]) *ace.WarmState[int32] {
-			return algorithms.WarmBFS(vs[i-1].g, vs[i].g, vs[i].touched, prior.Values, src)
-		},
-		func(g *graph.Graph) []int32 { return algorithms.SeqBFS(g, src) },
-		func(got int32, w int32) bool {
-			if w < 0 {
-				return got == math.MaxInt32
-			}
-			return got == w
-		},
-		false)
-	if err != nil {
-		return err
-	}
-	rep.Apps = append(rep.Apps, bfsRes)
-
-	wccRes, err := measureIncremental("wcc", vs, reps, algorithms.NewWCC(), ace.Query{}, cfg,
-		func(i int, prior *gap.Result[uint32]) *ace.WarmState[uint32] {
-			return algorithms.WarmWCC(vs[i-1].g, vs[i].g, vs[i].touched, prior.Values)
-		},
-		func(g *graph.Graph) []uint32 {
-			want := algorithms.SeqWCC(g)
-			out := make([]uint32, len(want))
-			for i, w := range want {
-				out[i] = uint32(w)
-			}
-			return out
-		},
-		func(got, w uint32) bool { return got == w },
-		false)
-	if err != nil {
-		return err
-	}
-	rep.Apps = append(rep.Apps, wccRes)
 
 	fmt.Fprintf(o.Out, "%-6s %10s %12s %14s %8s %8s\n", "app", "cold ms", "recompute ms", "incremental ms", "ratio", "met")
 	for _, a := range rep.Apps {

@@ -3,11 +3,10 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
+	"strings"
 
 	"argan/internal/ace"
-	"argan/internal/algorithms"
 	"argan/internal/core"
 	"argan/internal/fault"
 	"argan/internal/gap"
@@ -57,6 +56,7 @@ type MemoryAppResult struct {
 	WallMS        float64 `json:"wall_ms"`
 	SpilledBytes  int64   `json:"spilled_bytes"`
 	ForcedCkpts   int64   `json:"forced_ckpts"`
+	CrashesTotal  int64   `json:"crashes_total"`
 	WrongVertices int     `json:"wrong_vertices"`
 	Completed     bool    `json:"completed"`
 }
@@ -92,21 +92,16 @@ type MemoryReport struct {
 	SpilledReplayObserved bool `json:"spilled_replay_observed"`
 }
 
-// memRunOnce executes one live run and counts wrong vertices against the
-// sequential reference.
-func memRunOnce[V any, W any](frags []*graph.Fragment, f ace.Factory[V], q ace.Query,
-	cfg gap.LiveConfig, want []W, eq func(got V, w W) bool) (*gap.LiveMetrics, int, error) {
-	res, lm, err := gap.RunLive(frags, f, q, cfg)
-	if err != nil {
-		return nil, 0, err
+// memCrashAfter places the armed crash a quarter of the way through the
+// victim's share of a fault-free run's updates. Crash-armed capped runs do
+// far less work than that run (forced checkpoints, throttling, the
+// survivors converging without the victim), so half the share can lie
+// beyond where worker 1 stops and the crash never fires.
+func memCrashAfter(lm *gap.LiveMetrics) int64 {
+	if after := lm.Updates / memWorkers / 4; after > 0 {
+		return after
 	}
-	wrong := 0
-	for v := range want {
-		if !eq(res.Values[v], want[v]) {
-			wrong++
-		}
-	}
-	return lm, wrong, nil
+	return 1
 }
 
 // memUnspill returns the fragments' edge payloads to RAM after a governed
@@ -150,9 +145,20 @@ func Memory(o Options) error {
 	if reps < 3 {
 		reps = 3
 	}
-	prq := ace.Query{Eps: 1e-3}
-	wantPR := algorithms.SeqPageRank(g, prq.Eps)
-	prEq := func(got, w float64) bool { return math.Abs(got-w) <= 0.02*(w+1) }
+	q := ace.Query{Source: 0, Eps: 1e-3}
+	pr, err := core.LiveApp("pr")
+	if err != nil {
+		return err
+	}
+	wantPR := pr.Reference(g, q)
+	// runPR is one live PageRank run and its wrong-vertex count.
+	runPR := func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
+		run, err := pr.Run(frags, q, cfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		return run.Metrics, pr.Wrong(run.Values, wantPR), nil
+	}
 	cfgBase := gap.LiveConfig{
 		Mode:             gap.ModeGAP,
 		Recovery:         gap.RecoveryLocal,
@@ -173,20 +179,16 @@ func Memory(o Options) error {
 	fmt.Fprintf(o.Out, "== memory: live PageRank + one crash under shrinking budgets (|V|=%d, arcs=%d, n=%d, reps=%d) ==\n",
 		g.NumVertices(), g.NumEdges(), memWorkers, reps)
 
-	// Derive the crash trigger from one fault-free run: roughly half-way
-	// through the victim's share of the updates.
+	// Derive the crash trigger from one fault-free run.
 	{
-		lm, wrong, err := memRunOnce(frags, algorithms.NewPageRank(), prq, cfgBase, wantPR, prEq)
+		lm, wrong, err := runPR(cfgBase)
 		if err != nil {
 			return fmt.Errorf("memory fault-free probe: %v", err)
 		}
 		if wrong > 0 {
 			return fmt.Errorf("memory fault-free probe: %d wrong vertices", wrong)
 		}
-		rep.CrashAfterUpdates = lm.Updates / memWorkers / 2
-		if rep.CrashAfterUpdates < 1 {
-			rep.CrashAfterUpdates = 1
-		}
+		rep.CrashAfterUpdates = memCrashAfter(lm)
 	}
 	plan := &fault.Plan{Crashes: []fault.Crash{
 		{Worker: 1, AfterUpdates: rep.CrashAfterUpdates, Restart: 10},
@@ -205,7 +207,7 @@ func Memory(o Options) error {
 		p := *plan
 		p.Seed = int64(k)
 		cfg.Faults = &p
-		lm, wrong, err := memRunOnce(frags, algorithms.NewPageRank(), prq, cfg, wantPR, prEq)
+		lm, wrong, err := runPR(cfg)
 		gov.Close()
 		if err != nil {
 			return fmt.Errorf("memory ungoverned rep %d: %v", k, err)
@@ -224,6 +226,7 @@ func Memory(o Options) error {
 	fmt.Fprintf(o.Out, "%-8s %12s %10s %9s %10s %8s %9s %9s %7s\n",
 		"cap", "bytes", "wall(med)", "slowdown", "spilled", "forced", "throttle", "edgespill", "wrong")
 
+	var missed []string // armed runs whose crash never fired
 	for _, frac := range []float64{0.5, 0.25, 0.125} {
 		cap := int64(float64(rep.UnboundedPeakBytes) * frac)
 		if cap < 1 {
@@ -237,10 +240,13 @@ func Memory(o Options) error {
 			p := *plan
 			p.Seed = int64(k)
 			cfg.Faults = &p
-			lm, wrong, err := memRunOnce(frags, algorithms.NewPageRank(), prq, cfg, wantPR, prEq)
+			lm, wrong, err := runPR(cfg)
 			gov.Close()
 			if err != nil {
 				return fmt.Errorf("memory cap %.3f rep %d: %v", frac, k, err)
+			}
+			if lm.Crashes == 0 {
+				missed = append(missed, fmt.Sprintf("cap %.3f rep %d", frac, k))
 			}
 			if err := memUnspill(frags); err != nil {
 				return err
@@ -276,56 +282,23 @@ func Memory(o Options) error {
 
 	// Per-application verification: each live app at a quarter of its own
 	// ungoverned peak, with the crash plan armed.
-	type appCase struct {
-		name string
-		run  func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error)
-	}
-	q := ace.Query{Source: 0, Eps: prq.Eps}
-	wantSSSP := algorithms.SeqSSSP(g, 0)
-	wantBFS := algorithms.SeqBFS(g, 0)
-	wantWCC := algorithms.SeqWCC(g)
-	apps := []appCase{
-		{"sssp", func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return memRunOnce(frags, algorithms.NewSSSP(), q, cfg, wantSSSP,
-				func(got, w float64) bool { return got == w })
-		}},
-		{"bfs", func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return memRunOnce(frags, algorithms.NewBFS(), q, cfg, wantBFS,
-				func(got, w int32) bool {
-					if w < 0 {
-						return got == math.MaxInt32
-					}
-					return got == w
-				})
-		}},
-		{"wcc", func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return memRunOnce(frags, algorithms.NewWCC(), q, cfg, wantWCC,
-				func(got, w uint32) bool { return got == w })
-		}},
-		{"pr", func(cfg gap.LiveConfig) (*gap.LiveMetrics, int, error) {
-			return memRunOnce(frags, algorithms.NewPageRank(), prq, cfg, wantPR, prEq)
-		}},
-	}
 	allAppsOK := true
-	for _, a := range apps {
+	for _, a := range core.LiveApps() {
 		// Measure this app's own unbounded footprint first…
 		gov := mem.NewGovernor(0, spillDir)
 		cfg := cfgBase
 		cfg.Mem = gov
-		lm, _, err := a.run(cfg)
+		run, err := a.Run(frags, q, cfg)
 		gov.Close()
 		if err != nil {
-			return fmt.Errorf("memory app %s ungoverned: %v", a.name, err)
+			return fmt.Errorf("memory app %s ungoverned: %v", a.Name(), err)
 		}
-		ar := MemoryAppResult{App: a.name, UnboundedPeak: lm.MemPeakBytes}
+		ar := MemoryAppResult{App: a.Name(), UnboundedPeak: run.Metrics.MemPeakBytes}
 		ar.CapBytes = ar.UnboundedPeak / 4
 		if ar.CapBytes < 1 {
 			ar.CapBytes = 1
 		}
-		after := lm.Updates / memWorkers / 2
-		if after < 1 {
-			after = 1
-		}
+		after := memCrashAfter(run.Metrics)
 		// …then rerun crashed at a quarter of it.
 		gov = mem.NewGovernor(ar.CapBytes, spillDir)
 		cfg = cfgBase
@@ -333,25 +306,30 @@ func Memory(o Options) error {
 		cfg.Faults = &fault.Plan{Crashes: []fault.Crash{
 			{Worker: 1, AfterUpdates: after, Restart: 10},
 		}}
-		lm, wrong, err := a.run(cfg)
+		run, err = a.Run(frags, q, cfg)
 		gov.Close()
 		if err != nil {
-			return fmt.Errorf("memory app %s capped: %v", a.name, err)
+			return fmt.Errorf("memory app %s capped: %v", a.Name(), err)
 		}
 		if err := memUnspill(frags); err != nil {
 			return err
 		}
+		lm := run.Metrics
 		ar.WallMS = float64(lm.WallTime) / 1e6
 		ar.SpilledBytes = lm.SpilledBytes
 		ar.ForcedCkpts = lm.ForcedCkpts
-		ar.WrongVertices = wrong
+		ar.CrashesTotal = lm.Crashes
+		ar.WrongVertices = a.Wrong(run.Values, a.Reference(g, q))
 		ar.Completed = true
-		if wrong > 0 {
+		if ar.WrongVertices > 0 {
 			allAppsOK = false
 		}
+		if lm.Crashes == 0 {
+			missed = append(missed, "app "+a.Name())
+		}
 		rep.Apps = append(rep.Apps, ar)
-		fmt.Fprintf(o.Out, "app %-4s at peak/4 (%d bytes): wall %.1fms, spilled %d, forced ckpts %d, wrong %d\n",
-			a.name, ar.CapBytes, ar.WallMS, ar.SpilledBytes, ar.ForcedCkpts, ar.WrongVertices)
+		fmt.Fprintf(o.Out, "app %-4s at peak/4 (%d bytes): wall %.1fms, spilled %d, forced ckpts %d, crashes %d, wrong %d\n",
+			a.Name(), ar.CapBytes, ar.WallMS, ar.SpilledBytes, ar.ForcedCkpts, ar.CrashesTotal, ar.WrongVertices)
 	}
 
 	quarterOK := false
@@ -373,6 +351,10 @@ func Memory(o Options) error {
 			return err
 		}
 		fmt.Fprintf(o.Out, "wrote %s\n", o.JSONPath)
+	}
+	if len(missed) > 0 {
+		return fmt.Errorf("memory: the armed crash never fired in %d run(s) (%s), so those points measure no recovery",
+			len(missed), strings.Join(missed, ", "))
 	}
 	if !rep.CompletedAtQuarterPeak {
 		return fmt.Errorf("memory: governed execution must complete correctly at a quarter of the unbounded peak with zero OOMs")

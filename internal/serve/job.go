@@ -3,10 +3,9 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"argan/internal/ace"
-	"argan/internal/algorithms"
+	"argan/internal/core"
 	"argan/internal/fault"
 	"argan/internal/gap"
 	"argan/internal/graph"
@@ -85,8 +84,12 @@ func (s *Service) runOne(j *job) (*JobResult, error) {
 		NoEdgeSpill: true, // fragments are shared: never page their edges
 	}
 
+	app, err := core.LiveApp(sp.App)
+	if err != nil {
+		return nil, err // unreachable: normalize() already resolved it
+	}
 	q := ace.Query{Source: graph.VID(sp.Source), Eps: sp.Eps}
-	res, err := s.runApp(pin, sp, q, cfg)
+	res, err := incRun(pin, sp, app, q, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -104,76 +107,12 @@ func (s *Service) runOne(j *job) (*JobResult, error) {
 	return res, nil
 }
 
-// runApp dispatches one live run by application. Each app supplies its
-// incremental planner (how to adjust the retained fixpoint for the edge
-// churn between versions), its sequential reference, and its comparison
-// relation; incRun wires them together.
-func (s *Service) runApp(pin pinned, sp JobSpec, q ace.Query, cfg gap.LiveConfig) (*JobResult, error) {
-	src := graph.VID(sp.Source)
-	switch sp.App {
-	case "sssp":
-		return incRun(pin, sp, q, cfg, algorithms.NewSSSP(),
-			func(prior *warmEntry, touched []graph.VID) *ace.WarmState[float64] {
-				return algorithms.WarmSSSP(prior.g, pin.g, touched, prior.values.([]float64), src)
-			},
-			func() []float64 { return algorithms.SeqSSSP(pin.g, src) },
-			func(got, w float64) bool { return got == w },
-			func(v float64) float64 {
-				if math.IsInf(v, 1) {
-					return 0
-				}
-				return v
-			})
-	case "bfs":
-		return incRun(pin, sp, q, cfg, algorithms.NewBFS(),
-			func(prior *warmEntry, touched []graph.VID) *ace.WarmState[int32] {
-				return algorithms.WarmBFS(prior.g, pin.g, touched, prior.values.([]int32), src)
-			},
-			func() []int32 { return algorithms.SeqBFS(pin.g, src) },
-			func(got, w int32) bool {
-				if w < 0 { // Seq marks unreachable -1; the engine leaves Init's MaxInt32
-					return got == math.MaxInt32
-				}
-				return got == w
-			},
-			func(v int32) float64 {
-				if v == math.MaxInt32 {
-					return 0
-				}
-				return float64(v)
-			})
-	case "wcc":
-		return incRun(pin, sp, q, cfg, algorithms.NewWCC(),
-			func(prior *warmEntry, touched []graph.VID) *ace.WarmState[uint32] {
-				return algorithms.WarmWCC(prior.g, pin.g, touched, prior.values.([]uint32))
-			},
-			func() []uint32 {
-				want := algorithms.SeqWCC(pin.g)
-				out := make([]uint32, len(want))
-				for i, w := range want {
-					out[i] = uint32(w)
-				}
-				return out
-			},
-			func(got, w uint32) bool { return got == w },
-			func(v uint32) float64 { return float64(v) })
-	case "pr":
-		return incRun(pin, sp, q, cfg, algorithms.NewPageRank(),
-			func(prior *warmEntry, touched []graph.VID) *ace.WarmState[float64] {
-				return algorithms.WarmPageRank(prior.g, pin.g, touched, prior.psi.([]float64), prior.values.([]float64), sp.Eps)
-			},
-			func() []float64 { return algorithms.SeqPageRank(pin.g, sp.Eps) },
-			func(got, w float64) bool { return math.Abs(got-w) <= 0.02*(w+1) },
-			func(v float64) float64 { return v })
-	}
-	return nil, fmt.Errorf("app %q does not run under the live driver", sp.App)
-}
-
-// incRun is the retract-and-repush execution path shared by every app:
+// incRun is the retract-and-repush execution path shared by every app of
+// the live catalog (core.LiveApps):
 //
 //  1. Look up the retained fixpoint for this query key. If one exists and
 //     the mutation log bridges its version to the pinned one, build the
-//     planner's warm state and re-converge from it — verifying against the
+//     app's warm state and re-converge from it — verifying against the
 //     pinned version's sequential reference unconditionally, so every
 //     increment is checked, not trusted.
 //  2. If the program were not invertible/idempotent, or the bridge is gone
@@ -181,28 +120,25 @@ func (s *Service) runApp(pin pinned, sp JobSpec, q ace.Query, cfg gap.LiveConfig
 //     record why in JobResult.Fallback.
 //  3. On a clean (non-diverged) finish, retain this run's fixpoint for the
 //     next increment.
-func incRun[V any, W any](pin pinned, sp JobSpec, q ace.Query, cfg gap.LiveConfig,
-	factory ace.Factory[V],
-	plan func(prior *warmEntry, touched []graph.VID) *ace.WarmState[V],
-	ref func() []W, eq func(got V, w W) bool, num func(V) float64) (*JobResult, error) {
-
+func incRun(pin pinned, sp JobSpec, app core.LiveEntry, q ace.Query, cfg gap.LiveConfig) (*JobResult, error) {
 	wk := warmKey{app: sp.App, source: sp.Source, eps: sp.Eps}
 	verify := sp.Verify
 	var prior *warmEntry
 	var touched []graph.VID
 	var fallback string
-	if ace.CanIncrement(factory()) {
+	if app.CanIncrement() {
 		prior, touched, fallback = pin.ds.warmFor(wk, pin.version)
 	} else {
 		fallback = "program is neither invertible nor idempotent"
 	}
 	if prior != nil {
-		ws := plan(prior, touched)
-		// Reseeded fixpoints may come off disk (durable recovery): shape-check
-		// against the pinned graph before handing them to the engine, and
-		// fall back to a cold run rather than crash on a corrupt-but-plausible
-		// snapshot that slipped past the coarser reseed checks.
-		if err := ws.Validate(pin.g.NumVertices()); err != nil {
+		// Reseeded fixpoints may come off disk (durable recovery): Plan
+		// shape-checks the warm state against the pinned graph, and a
+		// rejected one falls back to a cold run rather than crash on a
+		// corrupt-but-plausible snapshot that slipped past the coarser
+		// reseed checks.
+		ws, err := app.Plan(prior.g, pin.g, touched, prior.values, prior.psi, q)
+		if err != nil {
 			prior, fallback = nil, fmt.Sprintf("warm state rejected: %v", err)
 		} else {
 			q.Warm = ws
@@ -211,19 +147,21 @@ func incRun[V any, W any](pin pinned, sp JobSpec, q ace.Query, cfg gap.LiveConfi
 		}
 	}
 
-	var want []W
+	var want any
 	if verify {
 		key := refKey{app: sp.App, source: sp.Source, eps: sp.Eps, version: pin.version}
-		want = pin.ds.reference(key, func() any { return ref() }).([]W)
+		want = pin.ds.reference(key, func() any { return app.Reference(pin.g, q) })
 	}
 
-	res, lm, err := gap.RunLive(pin.frags, factory, q, cfg)
+	run, err := app.Run(pin.frags, q, cfg)
 	if err != nil {
 		return nil, err
 	}
+	lm := run.Metrics
 	out := &JobResult{
-		Vertices:   len(res.Values),
+		Vertices:   pin.g.NumVertices(),
 		Wrong:      -1,
+		Checksum:   run.Checksum,
 		WallMS:     float64(lm.WallTime) / 1e6,
 		Updates:    lm.Updates,
 		MsgsSent:   lm.MsgsSent,
@@ -241,21 +179,13 @@ func incRun[V any, W any](pin pinned, sp JobSpec, q ace.Query, cfg gap.LiveConfi
 	if prior != nil {
 		out.IncrementalFrom = prior.version
 	}
-	for _, v := range res.Values {
-		out.Checksum += num(v)
-	}
-	if want != nil {
-		out.Wrong = 0
-		for i := range want {
-			if !eq(res.Values[i], want[i]) {
-				out.Wrong++
-			}
-		}
+	if verify {
+		out.Wrong = app.Wrong(run.Values, want)
 	}
 	if out.Wrong <= 0 {
 		// Retain this fixpoint (raw Ψ and output view, global-indexed) so
 		// the next job on this key re-converges instead of recomputing.
-		pin.ds.storeWarm(wk, &warmEntry{version: pin.version, g: pin.g, values: res.Values, psi: res.Psi})
+		pin.ds.storeWarm(wk, &warmEntry{version: pin.version, g: pin.g, values: run.Values, psi: run.Psi})
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"argan/internal/core"
 	"argan/internal/durable"
 	"argan/internal/graph"
 	"argan/internal/mem"
@@ -70,21 +71,6 @@ func parseDSKey(key string) (dataset string, scale float64, ok bool) {
 		return "", 0, false
 	}
 	return name, f, true
-}
-
-// appWarmKind is the snapshot array kind each app's fixpoint must carry;
-// a persisted entry whose kind contradicts its app is corruption (or an
-// incompatible format drift) and is skipped at reseed.
-func appWarmKind(app string) (uint32, bool) {
-	switch app {
-	case "sssp", "pr":
-		return durable.KindF64, true
-	case "bfs":
-		return durable.KindI32, true
-	case "wcc":
-		return durable.KindU32, true
-	}
-	return 0, false
 }
 
 // recoverDurable replays the dataset's WAL on top of the freshly loaded
@@ -165,9 +151,9 @@ func (ds *dsState) recoverDurable(store *durable.Store) error {
 	n := g.NumVertices()
 	for _, e := range snap.Entries {
 		wk := warmKey{app: e.App, source: int(e.Source), eps: e.Eps}
-		kind, nv, ok := durable.KindOf(e.Values)
-		wantKind, known := appWarmKind(e.App)
-		kp, np, okP := durable.KindOf(e.Psi)
+		app, aerr := core.LiveApp(e.App)
+		_, nv, _ := durable.KindOf(e.Values)
+		_, np, _ := durable.KindOf(e.Psi)
 		hg := held[e.Version]
 		switch {
 		case e.Version > g.Version():
@@ -177,7 +163,9 @@ func (ds *dsState) recoverDurable(store *durable.Store) error {
 			ds.rec.WarmSkipped++
 		case hg == nil:
 			ds.rec.WarmSkipped++ // version replayed but graph not retained (duplicate key)
-		case !ok || !okP || !known || kind != wantKind || kp != kind || nv != n || np != n:
+		case aerr != nil || !app.Holds(e.Values) || !app.Holds(e.Psi) || nv != n || np != n:
+			// Unknown app, or an array kind or length that contradicts it:
+			// corruption (or an incompatible format drift).
 			ds.rec.WarmSkipped++
 		default:
 			if cur := ds.warm[wk]; cur == nil || cur.version <= e.Version {

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"argan/internal/core"
 	"argan/internal/durable"
 	"argan/internal/fault"
 	"argan/internal/gap"
@@ -146,10 +147,8 @@ type JobSpec struct {
 }
 
 func (sp *JobSpec) normalize(cfg Config) (time.Duration, error) {
-	switch sp.App {
-	case "sssp", "bfs", "wcc", "pr":
-	default:
-		return 0, fmt.Errorf("app %q does not run under the live driver (want sssp, bfs, wcc or pr)", sp.App)
+	if _, err := core.LiveApp(sp.App); err != nil {
+		return 0, err
 	}
 	if sp.Dataset == "" {
 		return 0, fmt.Errorf("dataset is required")

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"argan/internal/core"
 	obsserve "argan/internal/obs/serve"
 )
 
@@ -87,6 +88,22 @@ func TestSpecValidation(t *testing.T) {
 	st, _ := s.Wait(id, 30*time.Second)
 	if st.Workers != 4 || st.State != StateDone {
 		t.Fatalf("clamp: workers %d state %s err %q", st.Workers, st.State, st.Err)
+	}
+}
+
+// TestSpecAppsFromCatalog pins JobSpec.normalize to the live-app catalog:
+// every catalog app is admitted, and a sim-only app is not.
+func TestSpecAppsFromCatalog(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	for _, app := range core.LiveApps() {
+		sp := JobSpec{App: app.Name(), Dataset: "HW"}
+		if _, err := sp.normalize(cfg); err != nil {
+			t.Errorf("catalog app %q rejected: %v", app.Name(), err)
+		}
+	}
+	sp := JobSpec{App: "color", Dataset: "HW"}
+	if _, err := sp.normalize(cfg); err == nil || !strings.Contains(err.Error(), "does not run under the live driver") {
+		t.Fatalf("color: normalize error = %v", err)
 	}
 }
 
