@@ -8,7 +8,7 @@
 //	arganbench -list                 # available experiment ids
 //
 // Extensions beyond the paper carry machine-readable results via -json,
-// e.g. the live hot-path baseline and the recovery-strategy comparison:
+// e.g. the live hot-path baseline and the crash-recovery cost:
 //
 //	arganbench -exp perf -json BENCH_perf.json
 //	arganbench -exp recovery -json BENCH_recovery.json

@@ -16,9 +16,9 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestBadInputsExitNonZero: every malformed invocation must produce exit
-// code 1 with a clear one-line diagnostic on stderr — never a panic, never
-// a zero exit.
+// TestBadInputsExitNonZero: every malformed invocation must produce a
+// non-zero exit with a clear diagnostic on stderr — never a panic. Input
+// errors exit 1 with an "arganrun: " line; flag-parse errors exit 2.
 func TestBadInputsExitNonZero(t *testing.T) {
 	garbage := filepath.Join(t.TempDir(), "garbage.el")
 	if err := os.WriteFile(garbage, []byte("this is not an edge list\n1 2 3 4 5\n"), 0o644); err != nil {
@@ -28,24 +28,25 @@ func TestBadInputsExitNonZero(t *testing.T) {
 		name string
 		args []string
 		want string // substring of stderr
+		code int    // expected exit code
 	}{
-		{"no_input", nil, "need -graph or -dataset"},
-		{"missing_graph_file", []string{"-graph", filepath.Join(t.TempDir(), "nope.el")}, "opening graph file"},
-		{"malformed_graph_file", []string{"-graph", garbage}, "reading graph file"},
-		{"unknown_dataset", []string{"-dataset", "NOPE"}, "unknown dataset"},
-		{"bad_fault_spec", []string{"-dataset", "HW", "-scale", "0.05", "-faults", "crash=oops"}, "fault"},
-		{"unknown_system", []string{"-dataset", "HW", "-scale", "0.05", "-system", "NoSuch"}, "unknown system"},
-		{"bad_recovery", []string{"-dataset", "HW", "-scale", "0.05", "-recovery", "zonal"}, "unknown -recovery strategy"},
-		{"negative_soak", []string{"-dataset", "HW", "-scale", "0.05", "-soak", "-3"}, "-soak must be >= 0"},
-		{"live_unsupported_app", []string{"-dataset", "HW", "-scale", "0.05", "-app", "color", "-recovery", "local"}, "does not run under the live driver"},
+		{"no_input", nil, "need -graph or -dataset", 1},
+		{"missing_graph_file", []string{"-graph", filepath.Join(t.TempDir(), "nope.el")}, "opening graph file", 1},
+		{"malformed_graph_file", []string{"-graph", garbage}, "reading graph file", 1},
+		{"unknown_dataset", []string{"-dataset", "NOPE"}, "unknown dataset", 1},
+		{"bad_fault_spec", []string{"-dataset", "HW", "-scale", "0.05", "-faults", "crash=oops"}, "fault", 1},
+		{"unknown_system", []string{"-dataset", "HW", "-scale", "0.05", "-system", "NoSuch"}, "unknown system", 1},
+		{"bad_recovery", []string{"-dataset", "HW", "-scale", "0.05", "-recovery", "local"}, "flag provided but not defined: -recovery", 2},
+		{"negative_soak", []string{"-dataset", "HW", "-scale", "0.05", "-soak", "-3"}, "-soak must be >= 0", 1},
+		{"live_unsupported_app", []string{"-dataset", "HW", "-scale", "0.05", "-app", "color", "-soak", "1"}, "does not run under the live driver", 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			code, _, stderr := runCLI(c.args...)
-			if code != 1 {
-				t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr)
+			if code != c.code {
+				t.Fatalf("exit code = %d, want %d (stderr: %s)", code, c.code, stderr)
 			}
-			if !strings.Contains(stderr, "arganrun: ") || !strings.Contains(stderr, c.want) {
+			if (c.code == 1 && !strings.Contains(stderr, "arganrun: ")) || !strings.Contains(stderr, c.want) {
 				t.Fatalf("stderr %q missing prefix or %q", stderr, c.want)
 			}
 		})
@@ -90,21 +91,18 @@ func TestNoRecoverReportsNA(t *testing.T) {
 	}
 }
 
-// TestLiveSoakLocalRecovery drives the -recovery/-soak path end to end: a
+// TestLiveSoakLocalRecovery drives the -soak path end to end: a
 // crash-and-restart plan under localized recovery, three iterations, every
-// run verified against the sequential reference, and no epoch bumps.
+// run verified against the sequential reference.
 func TestLiveSoakLocalRecovery(t *testing.T) {
 	code, stdout, stderr := runCLI(
 		"-dataset", "HW", "-scale", "0.05", "-app", "sssp", "-n", "4",
-		"-recovery", "local", "-soak", "3", "-faults", "crash=1@u40+10")
+		"-soak", "3", "-faults", "crash=1@u40+10")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s\nstdout: %s", code, stderr, stdout)
 	}
-	if !strings.Contains(stdout, "soak summary  : 3/3 correct") {
+	if !strings.Contains(stdout, "soak summary  : 3/3 correct; crashes=3 recoveries=") {
 		t.Fatalf("missing soak summary in output:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "[local]") || !strings.Contains(stdout, "epochs=0") {
-		t.Fatalf("soak lines missing local-recovery accounting:\n%s", stdout)
 	}
 }
 
@@ -161,12 +159,13 @@ func TestServeTelemetry(t *testing.T) {
 	}
 }
 
-// TestLiveSoakGlobalRecovery: the same plan under the default global
-// strategy still verifies; -recovery alone (no -soak) runs once.
+// TestLiveSoakGlobalRecovery: a crash of worker 0 under WCC still verifies,
+// and -soak 1 runs the live driver once. (The name predates the removal of
+// the global-rollback protocol.)
 func TestLiveSoakGlobalRecovery(t *testing.T) {
 	code, stdout, stderr := runCLI(
 		"-dataset", "HW", "-scale", "0.05", "-app", "wcc", "-n", "4",
-		"-recovery", "global", "-faults", "crash=0@u40+10")
+		"-soak", "1", "-faults", "crash=0@u40+10")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s\nstdout: %s", code, stderr, stdout)
 	}

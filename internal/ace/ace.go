@@ -254,8 +254,8 @@ type IdempotentAggregator interface {
 // aggregated contribution removed, i.e. Invert(Aggregate(cur, in), in) ==
 // cur. Localized recovery uses it to un-apply the post-checkpoint messages a
 // rolled-back sender will re-send, so the replay cannot double-count. The
-// checkpoint delta hook: programs that are neither idempotent nor
-// invertible force the driver back to global rollback.
+// live driver refuses to restart a crashed worker of a program that is
+// neither idempotent nor invertible.
 type Inverter[V any] interface {
 	Invert(cur, contrib V) V
 }

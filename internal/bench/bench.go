@@ -107,7 +107,7 @@ func All() []Experiment {
 		{"ablation", "Extension: per-rule ablation of GAP (R1/R2/R3/tuner)", Ablation},
 		{"faults", "Extension: crash-recovery and link-fault overhead sweep", FaultSweep},
 		{"perf", "Extension: live PageRank vs the sequential oracle (COST ratio, oracle checks)", Perf},
-		{"recovery", "Extension: lost work and latency, global rollback vs localized recovery", Recovery},
+		{"recovery", "Extension: lost work and latency of localized crash recovery", Recovery},
 		{"memory", "Extension: wall-clock vs memory cap — spill tier, backpressure, degradation ladder", Memory},
 		{"incremental", "Extension: re-convergence after 1% churn vs full recompute (evolving graphs)", Incremental},
 	}

@@ -161,7 +161,6 @@ func Memory(o Options) error {
 	}
 	cfgBase := gap.LiveConfig{
 		Mode:             gap.ModeGAP,
-		Recovery:         gap.RecoveryLocal,
 		CheckEvery:       16,
 		CheckpointEvery:  15 * 1e6, // 15ms: several checkpoints per run
 		HeartbeatTimeout: 40 * 1e6,

@@ -46,24 +46,23 @@ type LiveConfig struct {
 	// Slowdown fields, Retry) are wall-clock milliseconds under the live
 	// driver. Crashed workers are real goroutine exits; when the plan
 	// schedules a restart the monitor detects the death by heartbeat
-	// timeout and rolls the cluster back to its last consistent snapshot.
+	// timeout and repairs only the crashed worker: it restores the
+	// worker's own last checkpoint and replays the messages the survivors
+	// logged since (see liverecover.go). Survivors keep computing. A
+	// restart needs a program that declares ace.Inverter or
+	// ace.IdempotentAggregator; RunLive rejects a plan that restarts a
+	// crashed worker of any other program.
 	Faults *fault.Plan
 	// NoRecover disables checkpointing and recovery even when the plan's
 	// crashes carry restart delays: a crashed worker then stays dead and
 	// the watchdog eventually fails the run with a descriptive error.
 	NoRecover bool
-	// Recovery selects the strategy used to survive crashes:
-	// RecoveryGlobal ("" or "global", the default) takes stop-and-sync
-	// consistent snapshots and rolls the whole cluster back; RecoveryLocal
-	// ("local") takes uncoordinated per-worker logging checkpoints and
-	// repairs only the crashed worker (survivors keep computing, the
-	// cluster epoch is never bumped). Local recovery requires the program
-	// to declare ace.IdempotentAggregator or ace.Inverter; otherwise the
-	// run silently falls back to global (see LiveMetrics.Recovery for the
-	// effective strategy).
+	// Recovery selects nothing: the localized recovery described under
+	// Faults is the driver's only crash-recovery protocol. It accepts ""
+	// and RecoveryLocal and rejects any other value.
 	Recovery string
-	// CheckpointEvery is the interval between consistent cluster
-	// snapshots when recovery is enabled. Default 50ms.
+	// CheckpointEvery is the period in which every worker takes one
+	// uncoordinated checkpoint when recovery is enabled. Default 50ms.
 	CheckpointEvery time.Duration
 	// HeartbeatTimeout declares a worker dead when its heartbeat is older
 	// than this. Default 250ms. Workers beat at every indicator check,
@@ -144,13 +143,9 @@ func (c LiveConfig) withDefaults() (LiveConfig, error) {
 	if c.Watchdog == 0 {
 		c.Watchdog = 30 * time.Second
 	}
-	switch c.Recovery {
-	case "":
-		c.Recovery = RecoveryGlobal
-	case RecoveryGlobal, RecoveryLocal:
-	default:
-		return c, fmt.Errorf("gap: unknown recovery strategy %q (want %q or %q)",
-			c.Recovery, RecoveryGlobal, RecoveryLocal)
+	if c.Recovery != "" && c.Recovery != RecoveryLocal {
+		return c, fmt.Errorf("gap: unknown recovery strategy %q (only %q is supported)",
+			c.Recovery, RecoveryLocal)
 	}
 	if c.LogBytesSoftCap == 0 && c.Mem.Budget() > 0 {
 		c.LogBytesSoftCap = c.Mem.Budget() / 4
@@ -178,20 +173,11 @@ type LiveMetrics struct {
 	Recoveries  int64
 	Checkpoints int64
 
-	// Recovery is the effective strategy the run used (RecoveryGlobal or
-	// RecoveryLocal); it differs from the configured one when the program
-	// lacks the hooks local recovery needs.
-	Recovery string
-	// Epochs counts global rollbacks (cluster epoch bumps). Localized
-	// recoveries never bump the epoch, so this stays zero in local mode.
-	Epochs int64
 	// Replayed counts messages re-delivered from the sender-side logs to
-	// restored workers (local mode only).
+	// restored workers.
 	Replayed int64
-	// RecoveryMS is the total wall-clock spent between failure detection
-	// and worker respawn, summed over recoveries. A global recovery counts
-	// from its earliest detected death to the release of the rolled-back
-	// cluster; a local one from staging the dead worker to its respawn.
+	// RecoveryMS is the total wall-clock spent between staging a dead
+	// worker's recovery and its respawn, summed over recoveries.
 	RecoveryMS float64
 
 	// Memory-governance accounting (zero when no governor is attached).
@@ -205,18 +191,15 @@ type LiveMetrics struct {
 	LogPeakBytes     int64 // high-water retained bytes across the message log
 }
 
-// liveEnvelope is one batch in flight. The epoch tags which incarnation of
-// the cluster sent it: a global rollback bumps the epoch, and receivers
-// silently discard (without counting) envelopes from before it. Under the
-// exactly-once layer (link faults or local recovery) the envelope also
-// carries the sender id, the sender's incarnation and a per-link sequence
-// number for dedup, reordering and replay.
+// liveEnvelope is one batch in flight. Under the exactly-once layer (link
+// faults or crash recovery) the envelope also carries the sender's
+// incarnation and a per-link sequence number for dedup, reordering and
+// replay.
 type liveEnvelope[V any] struct {
-	epoch int32
-	from  int32
-	inc   int32
-	seq   uint64
-	msgs  []ace.Message[V]
+	from int32
+	inc  int32
+	seq  uint64
+	msgs []ace.Message[V]
 }
 
 // liveCoord detects global quiescence: every worker idle and every sent
@@ -233,13 +216,12 @@ type liveCoord struct {
 	err      error
 	progress int64 // bumped on every report; a watchdog progress signal
 
-	// Local recovery counts transport events in crash-safe atomics bumped
-	// at ship/drain time instead of worker-local deltas: a crashed
-	// goroutine's unreported deltas would unbalance the ledger forever
-	// (global mode escapes that by resetting the counts on rollback; local
-	// mode never resets). Ships are counted before the envelope becomes
-	// visible, so asent >= arecv whenever a message is in flight and
-	// quiescence cannot close early.
+	// Runs with crash recovery count transport events in crash-safe
+	// atomics bumped at ship/drain time instead of worker-local deltas: a
+	// crashed goroutine's unreported deltas would unbalance the ledger
+	// forever. Ships are counted before the envelope becomes visible, so
+	// asent >= arecv whenever a message is in flight and quiescence cannot
+	// close early.
 	atomicCnt    bool
 	asent, arecv atomic.Int64
 }
@@ -315,24 +297,6 @@ func (c *liveCoord) failure() error {
 	return c.err
 }
 
-// reset re-arms the detector after a rollback: every worker busy, message
-// accounting zeroed (in-flight pre-rollback envelopes are discarded by
-// receivers without being counted). Returns false if the run already ended.
-func (c *liveCoord) reset() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return false
-	}
-	for i := range c.idle {
-		c.idle[i] = false
-	}
-	c.nIdle = 0
-	c.sent, c.recv = 0, 0
-	c.progress++
-	return true
-}
-
 func (c *liveCoord) counts() (sent, recv int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -360,7 +324,6 @@ type liveDriver[V any] struct {
 	coord  *liveCoord
 	ctrl   *liveCtrl
 	states []*liveState[V]
-	snaps  []liveSnap[V]
 	start  time.Time
 	wg     sync.WaitGroup
 
@@ -374,14 +337,12 @@ type liveDriver[V any] struct {
 
 	pool *batchPool[V]
 
-	// Exactly-once / localized-recovery plumbing (see liverecover.go).
-	// seqOn stamps envelopes with (inc, seq) and routes drains through the
-	// dedup layer; localRec additionally logs sends, takes uncoordinated
-	// checkpoints and recovers crashed workers without a global rollback.
+	// Exactly-once / crash-recovery plumbing (see liverecover.go). seqOn
+	// stamps envelopes with (inc, seq) and routes drains through the dedup
+	// layer; recover (set when some crash restarts) additionally logs
+	// sends, takes uncoordinated checkpoints and repairs crashed workers.
 	// diag maintains the per-worker transport counters the watchdog prints.
-	recovery   string // effective strategy (RecoveryGlobal / RecoveryLocal)
 	seqOn      bool
-	localRec   bool
 	diag       bool
 	mlog       *msgLog[V]
 	localMu    sync.Mutex
@@ -399,7 +360,7 @@ type liveDriver[V any] struct {
 	ckptReq    []atomic.Bool
 	ckptNext   int             // monitor-only round-robin pointer
 	recState   []uint8         // monitor-only: 0 none, 1 staged
-	detectAt   []time.Duration // monitor-only: failure detection (local: staging) time
+	detectAt   []time.Duration // monitor-only: when each dead worker's recovery was staged
 	wsent      []atomic.Int64
 	wrecv      []atomic.Int64
 	wacked     []atomic.Int64
@@ -432,7 +393,6 @@ type liveDriver[V any] struct {
 }
 
 const (
-	liveParkPoll    = 50 * time.Microsecond
 	liveSendBackoff = 50 * time.Microsecond
 	liveSendBackMax = 2 * time.Millisecond
 	// liveThrottleSleep is the per-flush backpressure pause applied to
@@ -444,7 +404,7 @@ const (
 // worker, returning the global result. Results are identical to the
 // sequential fixpoint for programs with order-insensitive (monotone)
 // aggregation. When cfg.Faults schedules crashes with restarts, the run
-// survives them via consistent snapshots and global rollback.
+// survives them by localized recovery (see LiveConfig.Faults).
 func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query, cfg LiveConfig) (*Result[V], *LiveMetrics, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -491,23 +451,21 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.states[i] = newLiveState(i, frags[i], factory(), q, d.pool)
 	}
 
-	// Recovery strategy and the exactly-once layer. Local recovery needs a
-	// program the protocol can repair survivors of (idempotent aggregation
-	// or an inverter); otherwise fall back to global rollback. The dedup
-	// layer itself is also required under link faults regardless of
-	// strategy — dup/reorder fates double- and cross-deliver batches, which
-	// only idempotent programs tolerate bare.
+	// Crash recovery and the exactly-once layer. Recovery needs a program
+	// whose survivors the protocol can repair (idempotent aggregation or an
+	// inverter). The dedup layer is also required under link faults —
+	// dup/reorder fates double- and cross-deliver batches, which only
+	// idempotent programs tolerate bare.
 	capable, invert := recoveryHooks(d.states[0].prog)
-	d.recovery = cfg.Recovery
-	if d.recovery == RecoveryLocal && !capable {
-		d.recovery = RecoveryGlobal
+	if d.recover && !capable {
+		return nil, nil, fmt.Errorf("gap: the fault plan restarts a crashed worker, but %T declares neither ace.Inverter nor ace.IdempotentAggregator, which crash recovery needs (set NoRecover to keep crashed workers dead)",
+			d.states[0].prog)
 	}
-	d.localRec = d.recover && d.recovery == RecoveryLocal
-	d.seqOn = d.hasLink || d.localRec
+	d.seqOn = d.hasLink || d.recover
 	d.diag = d.hasCrashes || d.seqOn
 	if d.seqOn {
-		if !d.localRec {
-			invert = nil // undo logs only serve localized rollback notices
+		if !d.recover {
+			invert = nil // undo logs only serve rollback notices
 		}
 		for i := range d.states {
 			d.states[i].rs = newRecoverState[V](n, invert)
@@ -518,8 +476,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		d.wrecv = make([]atomic.Int64, n)
 		d.wacked = make([]atomic.Int64, n)
 	}
-	switch {
-	case d.localRec:
+	if d.recover {
 		d.coord.atomicCnt = true
 		d.mlog = newMsgLog[V](n)
 		d.stableSent = make([]atomic.Uint64, n*n)
@@ -547,14 +504,6 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 				snap.undo = make([][]undoRec[V], n)
 			}
 			d.localSnaps[i] = snap
-		}
-	case d.recover:
-		// Snapshot 0: the freshly initialized cluster, so a crash before
-		// the first periodic checkpoint still has a rollback target.
-		d.snaps = make([]liveSnap[V], n)
-		d.detectAt = make([]time.Duration, n)
-		for i := range d.states {
-			d.snaps[i] = captureLive(d.states[i])
 		}
 	}
 
@@ -591,7 +540,7 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 			}
 		}
 	}
-	if d.localRec {
+	if d.recover {
 		d.ckEvery = make([]atomic.Int32, n)
 		for i := range d.ckEvery {
 			d.ckEvery[i].Store(int32(cfg.CheckEvery))
@@ -615,13 +564,13 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		}
 	}
 
-	cfg.Health.runStarted(n, d.recovery, cfg.Watchdog)
+	cfg.Health.runStarted(n, cfg.Watchdog)
 	d.start = nowFn()
 	d.wg.Add(1)
 	go d.monitor()
 	for i := 0; i < n; i++ {
 		d.wg.Add(1)
-		go d.worker(d.states[i], 0)
+		go d.worker(d.states[i])
 	}
 	d.wg.Wait()
 	wall := sinceFn(d.start)
@@ -654,8 +603,6 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 		Crashes:     d.crashes.Load(),
 		Recoveries:  d.recoveries.Load(),
 		Checkpoints: d.checkpoints.Load(),
-		Recovery:    d.recovery,
-		Epochs:      int64(d.ctrl.epoch.Load()),
 		Replayed:    d.replayed.Load(),
 		RecoveryMS:  float64(d.recoveryNS.Load()) / 1e6,
 
@@ -674,10 +621,9 @@ func RunLive[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query
 	return res, m, nil
 }
 
-// worker runs one incarnation of worker st.id at the given epoch. A
-// restarted worker is a fresh call with a bumped epoch over the restored
-// state.
-func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
+// worker runs one incarnation of worker st.id. A restarted worker is a
+// fresh call over the restored state.
+func (d *liveDriver[V]) worker(st *liveState[V]) {
 	defer d.wg.Done()
 	// Panic containment: an Update function that panics fails the run (first
 	// failure wins) instead of killing the process, so a service can
@@ -714,7 +660,6 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	// reports as per-round counter deltas.
 	var localSent, localRecv int64
 	var sentCum, recvCum int64
-	lastIdle := false
 	var hold [][]ace.Message[V] // reorder fault: batches held past FIFO order
 	if d.hasLink {
 		hold = make([][]ace.Message[V], d.n)
@@ -778,11 +723,6 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		for {
 			select {
 			case env := <-d.chans[id]:
-				if env.epoch != myEpoch {
-					// Pre-rollback leftover: discard uncounted.
-					d.pool.put(env.msgs)
-					continue
-				}
 				ingest(env)
 				got++
 			default:
@@ -792,10 +732,11 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	}
 
 	// stamp wraps a batch for the wire; under the exactly-once layer it
-	// draws the next per-link sequence number and (in local mode) retains a
-	// copy in the sender-side log before the batch ever becomes visible.
+	// draws the next per-link sequence number and (under crash recovery)
+	// retains a copy in the sender-side log before the batch ever becomes
+	// visible.
 	stamp := func(j int, msgs []ace.Message[V]) liveEnvelope[V] {
-		env := liveEnvelope[V]{epoch: myEpoch, from: int32(id), msgs: msgs}
+		env := liveEnvelope[V]{from: int32(id), msgs: msgs}
 		if rs := st.rs; rs != nil {
 			rs.sendSeq[j]++
 			env.seq = rs.sendSeq[j]
@@ -806,9 +747,10 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		}
 		return env
 	}
-	// countSent books a shipped envelope. In local mode the count lands in
-	// the coordinator's crash-safe atomics before the envelope is inserted,
-	// so quiescence can never close over an uncounted in-flight message.
+	// countSent books a shipped envelope. Under crash recovery the count
+	// lands in the coordinator's crash-safe atomics before the envelope is
+	// inserted, so quiescence can never close over an uncounted in-flight
+	// message.
 	countSent := func(k int64) {
 		if d.coord.atomicCnt {
 			d.coord.asent.Add(k)
@@ -825,11 +767,9 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 
 	// send ships one stamped envelope to peer j. A full peer mailbox (the
 	// peer may be dead) is retried with exponential backoff while draining
-	// our own mailbox so mutual sends cannot deadlock; a global recovery in
-	// progress drops the batch (the rollback re-derives it). While blocked,
-	// the worker keeps servicing rollback notices — a survivor wedged on a
-	// dead peer's full mailbox must still ack, or local recovery would
-	// deadlock.
+	// our own mailbox so mutual sends cannot deadlock. While blocked, the
+	// worker keeps servicing rollback notices — a survivor wedged on a dead
+	// peer's full mailbox must still ack, or recovery would deadlock.
 	send := func(j int, env liveEnvelope[V]) {
 		if len(env.msgs) == 0 {
 			return
@@ -837,9 +777,6 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		countSent(int64(len(env.msgs)))
 		backoff := liveSendBackoff
 		for {
-			if d.ctrl.phase.Load() == ctrlRecover {
-				return
-			}
 			select {
 			case d.chans[j] <- env:
 				return
@@ -847,7 +784,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 				return
 			default:
 			}
-			if d.localRec {
+			if d.recover {
 				d.drainNotices(st)
 			}
 			if drain() == 0 {
@@ -860,66 +797,17 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		}
 	}
 
-	// pauseCheck parks the worker while the monitor runs a checkpoint or a
-	// recovery; returns true when the run is over. During checkpoint parks
-	// the worker keeps draining and reporting (the snapshot barrier needs
-	// global sent==recv); during recovery parks it must not touch state —
-	// the monitor is rewriting it. Leaving a park with a bumped epoch
-	// means the cluster rolled back under us: message accounting restarts
-	// from zero and held batches are dropped (the replay re-derives them).
-	pauseCheck := func() bool {
-		// A closed run (failure, cancellation, or quiescence declared while
-		// we computed) ends the incarnation at the next check: cancellation
-		// latency is one CheckEvery wave, not the rest of the active set.
+	// runOver reports that the run closed (failure, cancellation, or
+	// quiescence declared while we computed): the incarnation ends at the
+	// next check, so cancellation latency is one CheckEvery wave, not the
+	// rest of the active set.
+	runOver := func() bool {
 		select {
 		case <-d.coord.done:
 			return true
 		default:
-		}
-		if d.ctrl.phase.Load() == ctrlRun {
 			return false
 		}
-		if d.ctrl.phase.Load() == ctrlCkpt {
-			// Held (reordered) batches live outside the snapshot; flush
-			// them now so the checkpoint never strands a message.
-			for j := range hold {
-				if len(hold[j]) > 0 {
-					hb := hold[j]
-					hold[j] = nil
-					send(j, stamp(j, hb))
-				}
-			}
-		}
-		d.ctrl.enterPark()
-		for d.ctrl.phase.Load() != ctrlRun {
-			select {
-			case <-d.coord.done:
-				d.ctrl.exitPark()
-				return true
-			default:
-			}
-			if d.ctrl.phase.Load() == ctrlCkpt {
-				if drain() > 0 {
-					lastIdle = false
-				}
-				if localSent != 0 || localRecv != 0 {
-					d.coord.report(id, lastIdle, localSent, localRecv)
-					localSent, localRecv = 0, 0
-				}
-			}
-			beat()
-			time.Sleep(liveParkPoll)
-		}
-		d.ctrl.exitPark()
-		if e := d.ctrl.epoch.Load(); e != myEpoch {
-			myEpoch = e
-			localSent, localRecv = 0, 0
-			lastIdle = false
-			for j := range hold {
-				hold[j] = nil
-			}
-		}
-		return false
 	}
 
 	// flushAllInner ships every non-empty out-accumulator, routing each
@@ -943,7 +831,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 						// cannot be declared while it is in flight —
 						// and hand it to an asynchronous retransmitter.
 						// Sleeping inline here would stall heartbeats,
-						// park checks and every other peer's flush for
+						// crash checks and every other peer's flush for
 						// the whole retry delay.
 						env := stamp(j, msgs)
 						countSent(int64(len(msgs)))
@@ -1050,13 +938,13 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 		}
 	}
 
-	// serviceLocal is the localized-recovery safe point: process any
-	// rollback notices from the monitor, then honor a pending checkpoint
-	// request. Checkpoints are taken inline — no barrier, no park — after
-	// flushing held batches so the snapshot can never strand an unstamped
-	// message. No-op outside local mode.
+	// serviceLocal is the crash-recovery safe point: process any rollback
+	// notices from the monitor, then honor a pending checkpoint request.
+	// Checkpoints are taken inline — no barrier — after flushing held
+	// batches so the snapshot can never strand an unstamped message. No-op
+	// without crash recovery.
 	serviceLocal := func() {
-		if !d.localRec {
+		if !d.recover {
 			return
 		}
 		d.drainNotices(st)
@@ -1079,7 +967,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 	}
 
 	for {
-		if pauseCheck() {
+		if runOver() {
 			return
 		}
 		if crashed() {
@@ -1111,12 +999,12 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 			tr.Sample(id, obs.GaugeActive, ts(), float64(st.active.Len()))
 		}
 		// checkStep is the shared per-CheckEvery indicator check (ξ⁺/ξ⁻):
-		// heartbeat, park/crash checks, slowdown injection, then pick up
+		// heartbeat, end/crash checks, slowdown injection, then pick up
 		// fresh messages or push accumulated ones. Returns true when the
 		// worker must exit.
 		checkStep := func() bool {
 			beat()
-			if pauseCheck() {
+			if runOver() {
 				return true
 			}
 			if crashed() {
@@ -1162,24 +1050,20 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 			tr.Mark(id, obs.MarkIdle, t1)
 		}
 		// Idle transition: report and block for more input. The timeout
-		// keeps the heartbeat alive and lets the worker notice parks (and
-		// due time-triggered crashes) while idle. The recovery-reseeded
-		// check granularity snaps back to the configured bound here — the
-		// replayed backlog it was finer for has drained.
+		// keeps the heartbeat alive and lets the worker notice rollback
+		// notices, checkpoint requests and due time-triggered crashes while
+		// idle. The recovery-reseeded check granularity snaps back to the
+		// configured bound here — the replayed backlog it was finer for has
+		// drained.
 		if d.ckEvery != nil {
 			d.ckEvery[id].Store(int32(cfg.CheckEvery))
 		}
-		lastIdle = true
 		d.coord.report(id, true, localSent, localRecv)
 		localSent, localRecv = 0, 0
 	idleWait:
 		for {
 			select {
 			case env := <-d.chans[id]:
-				if env.epoch != myEpoch {
-					continue
-				}
-				lastIdle = false
 				d.coord.report(id, false, 0, 0)
 				if tr != nil {
 					tr.Mark(id, obs.MarkBusy, ts())
@@ -1190,7 +1074,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 				return
 			case <-time.After(d.beatEvery):
 				beat()
-				if pauseCheck() {
+				if runOver() {
 					return
 				}
 				if crashed() {
@@ -1201,12 +1085,7 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 				if !st.active.Empty() {
 					// A rollback notice un-applied contributions and
 					// re-activated their vertices: go process them.
-					lastIdle = false
 					d.coord.report(id, false, 0, 0)
-					break idleWait
-				}
-				if !lastIdle {
-					// A rollback put restored work back on our plate.
 					break idleWait
 				}
 			}
@@ -1217,11 +1096,8 @@ func (d *liveDriver[V]) worker(st *liveState[V], myEpoch int32) {
 // retransmit delivers a "dropped" batch after the plan's retry delay
 // without blocking the worker that flushed it. The caller already counted
 // the batch as sent, so termination cannot be declared while it is in
-// flight. A global recovery while the retransmitter sleeps bumps the epoch
-// (and the coordinator reset wiped the count), so delivery is abandoned —
-// the rollback re-derives the batch. Under local recovery the epoch never
-// moves and the phase never leaves ctrlRun, so delivery always completes;
-// the dedup layer discards it if the restore already replayed the batch.
+// flight. Delivery always completes unless the run ends; the dedup layer
+// discards the batch if a restore already replayed it.
 func (d *liveDriver[V]) retransmit(to int, env liveEnvelope[V]) {
 	d.retransmits.Add(1)
 	if tr := d.cfg.Tracer; tr != nil {
@@ -1239,9 +1115,6 @@ func (d *liveDriver[V]) retransmit(to int, env liveEnvelope[V]) {
 		}
 		backoff := liveSendBackoff
 		for {
-			if d.ctrl.epoch.Load() != env.epoch || d.ctrl.phase.Load() == ctrlRecover {
-				return
-			}
 			select {
 			case d.chans[to] <- env:
 				return

@@ -52,10 +52,10 @@ func TestLivePageRankMatchesSequential(t *testing.T) {
 
 // TestLiveMatchesOracleAcrossDrivers covers the one live evaluation path —
 // serial pop-loop on each worker goroutine, pooled combining batches — under
-// both live drivers at workers {1, 2, 4}: SSSP, BFS and WCC must equal their
-// sequential oracles bit for bit, PageRank within 0.02·(w+1). CheckEvery 16
-// interleaves flushes and drains densely, so under -race this is also the
-// pipeline's race stress test.
+// the asynchronous live driver at workers {1, 2, 4}: SSSP, BFS and WCC must
+// equal their sequential oracles bit for bit, PageRank within 0.02·(w+1).
+// CheckEvery 16 interleaves flushes and drains densely, so under -race this
+// is also the pipeline's race stress test.
 func TestLiveMatchesOracleAcrossDrivers(t *testing.T) {
 	g := testGraph(true, 12)
 	gu := testGraph(false, 15)
@@ -68,34 +68,26 @@ func TestLiveMatchesOracleAcrossDrivers(t *testing.T) {
 	}
 	wantWCC := algorithms.SeqWCC(gu)
 	wantPR := algorithms.SeqPageRank(g, 1e-4)
-	for _, drv := range []string{"async", "bsp"} {
-		for _, n := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", drv, n), func(t *testing.T) {
-				fs, fsu := frags(t, g, n), frags(t, gu, n)
-				assertExact(t, "sssp", runDriver(t, drv, fs, algorithms.NewSSSP(), ace.Query{Source: 0}), wantSSSP)
-				assertExact(t, "bfs", runDriver(t, drv, fs, algorithms.NewBFS(), ace.Query{Source: 0}), wantBFS)
-				assertExact(t, "wcc", runDriver(t, drv, fsu, algorithms.NewWCC(), ace.Query{}), wantWCC)
-				pr := runDriver(t, drv, fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-4})
-				for v, w := range wantPR {
-					if math.Abs(pr[v]-w) > 0.02*(w+1) {
-						t.Fatalf("pr[%d] = %v, want ~%v", v, pr[v], w)
-					}
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("async/w%d", n), func(t *testing.T) {
+			fs, fsu := frags(t, g, n), frags(t, gu, n)
+			assertExact(t, "sssp", runAsync(t, fs, algorithms.NewSSSP(), ace.Query{Source: 0}), wantSSSP)
+			assertExact(t, "bfs", runAsync(t, fs, algorithms.NewBFS(), ace.Query{Source: 0}), wantBFS)
+			assertExact(t, "wcc", runAsync(t, fsu, algorithms.NewWCC(), ace.Query{}), wantWCC)
+			pr := runAsync(t, fs, algorithms.NewPageRank(), ace.Query{Eps: 1e-4})
+			for v, w := range wantPR {
+				if math.Abs(pr[v]-w) > 0.02*(w+1) {
+					t.Fatalf("pr[%d] = %v, want ~%v", v, pr[v], w)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// runDriver runs one query under the named live driver and returns its values.
-func runDriver[V any](t *testing.T, drv string, fs []*graph.Fragment, f ace.Factory[V], q ace.Query) []V {
+// runAsync runs one query under the live driver and returns its values.
+func runAsync[V any](t *testing.T, fs []*graph.Fragment, f ace.Factory[V], q ace.Query) []V {
 	t.Helper()
-	var res *Result[V]
-	var err error
-	if drv == "bsp" {
-		res, _, err = RunLiveBSP(fs, f, q, BSPOptions{})
-	} else {
-		res, _, err = RunLive(fs, f, q, LiveConfig{Mode: ModeGAP, CheckEvery: 16})
-	}
+	res, _, err := RunLive(fs, f, q, LiveConfig{Mode: ModeGAP, CheckEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,90 +153,5 @@ func TestLiveRejectsBarrierModes(t *testing.T) {
 	}
 	if _, _, err := RunLive(nil, algorithms.NewSSSP(), ace.Query{}, LiveConfig{Mode: ModeGAP}); err == nil {
 		t.Fatal("want error for no fragments")
-	}
-}
-
-func TestLiveBSPMatchesSequential(t *testing.T) {
-	g := graph.PowerLaw(graph.GenConfig{N: 2500, M: 20000, Directed: true, Seed: 26, MaxW: 20})
-	want := algorithms.SeqSSSP(g, 0)
-	for _, n := range []int{1, 4, 8} {
-		res, lm, err := RunLiveBSP(frags(t, g, n), algorithms.NewSSSP(), ace.Query{Source: 0}, BSPOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, d := range want {
-			if res.Values[v] != d {
-				t.Fatalf("n=%d: dist[%d] = %v, want %v", n, v, res.Values[v], d)
-			}
-		}
-		if lm.Rounds == 0 || res.Metrics.Supersteps != lm.Rounds {
-			t.Fatalf("superstep accounting wrong: %+v vs %+v", lm, res.Metrics)
-		}
-	}
-	// PageRank under live BSP too (non-idempotent aggregation relies on the
-	// exactly-once exchange of the barrier).
-	wantPR := algorithms.SeqPageRank(g, 1e-4)
-	res, _, err := RunLiveBSP(frags(t, g, 6), algorithms.NewPageRank(), ace.Query{Eps: 1e-4}, BSPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, r := range wantPR {
-		if math.Abs(res.Values[v]-r) > 0.02*(r+1) {
-			t.Fatalf("pr[%d] = %v, want ~%v", v, res.Values[v], r)
-		}
-	}
-}
-
-func TestLiveBSPErrorsAndCaps(t *testing.T) {
-	if _, _, err := RunLiveBSP(nil, algorithms.NewSSSP(), ace.Query{}, BSPOptions{}); err == nil {
-		t.Fatal("want error for no fragments")
-	}
-	// A superstep cap cuts the run short but still returns.
-	g := graph.Chain(50, true)
-	res, lm, err := RunLiveBSP(frags(t, g, 4), algorithms.NewBFS(), ace.Query{Source: 0}, BSPOptions{MaxSupersteps: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm.Rounds != 3 {
-		t.Fatalf("cap ignored: %d rounds", lm.Rounds)
-	}
-	_ = res
-}
-
-func TestLiveBSPPullPrograms(t *testing.T) {
-	// Pull-style programs exercise the shared live-state's replica sync
-	// (ctxSet) and dependent re-activation across all DepKinds.
-	g := graph.PowerLaw(graph.GenConfig{N: 900, M: 7000, Directed: true, Seed: 27, MaxW: 9, Labels: 6})
-	fs := frags(t, g, 5)
-	col, _, err := RunLiveBSP(fs, algorithms.NewColor(), ace.Query{}, BSPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, c := range algorithms.SeqColor(g) {
-		if col.Values[v] != c {
-			t.Fatalf("color[%d] = %d, want %d", v, col.Values[v], c)
-		}
-	}
-
-	gu := graph.PowerLaw(graph.GenConfig{N: 700, M: 5200, Directed: false, Seed: 28})
-	core, _, err := RunLiveBSP(frags(t, gu, 4), algorithms.NewCore(), ace.Query{}, BSPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, c := range algorithms.SeqCore(gu) {
-		if core.Values[v] != c {
-			t.Fatalf("core[%d] = %d, want %d", v, core.Values[v], c)
-		}
-	}
-
-	pat := algorithms.RandomPattern(g, 4, 5, 5)
-	sim, _, err := RunLiveBSP(fs, algorithms.NewSim(), ace.Query{Pattern: pat}, BSPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, m := range algorithms.SeqSim(g, pat) {
-		if sim.Values[v] != m {
-			t.Fatalf("sim[%d] = %b, want %b", v, sim.Values[v], m)
-		}
 	}
 }

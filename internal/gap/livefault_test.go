@@ -43,8 +43,8 @@ func liveFTConfig(mode Mode) LiveConfig {
 
 // TestLiveCrashRecoveryMatchesFaultFree is the live half of the tentpole
 // acceptance criterion: a run that loses a worker mid-computation and
-// recovers it from the last consistent snapshot converges to the same
-// answers as a fault-free run — with real goroutine deaths, heartbeat
+// recovers it from its last checkpoint and the survivors' logs converges to
+// the same answers as a fault-free run — with real goroutine deaths, heartbeat
 // detection and a real restart.
 func TestLiveCrashRecoveryMatchesFaultFree(t *testing.T) {
 	t.Run("sssp", func(t *testing.T) {
@@ -109,10 +109,10 @@ func TestLiveCrashRecoveryMatchesFaultFree(t *testing.T) {
 	})
 }
 
-// TestLiveGlobalRecoveryTimed: a global rollback is timed like a local
-// recovery — RecoveryMS covers detection to the release of the cluster, so a
-// run that crashed and restarted must report a positive recovery time.
-func TestLiveGlobalRecoveryTimed(t *testing.T) {
+// TestLiveRecoveryTimed: RecoveryMS covers staging the dead worker to its
+// respawn, which waits out the plan's restart delay — so one crash with a
+// 10ms restart must report one recovery of at least 10ms.
+func TestLiveRecoveryTimed(t *testing.T) {
 	g := testGraph(true, 3)
 	cfg := liveFTConfig(ModeGAP)
 	cfg.Faults = faultPlan(t, "crash=1@u40+10")
@@ -120,11 +120,11 @@ func TestLiveGlobalRecoveryTimed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunLive: %v", err)
 	}
-	if lm.Recovery != RecoveryGlobal || lm.Crashes != 1 {
-		t.Fatalf("recovery=%q crashes=%d, want global and 1", lm.Recovery, lm.Crashes)
+	if lm.Crashes != 1 || lm.Recoveries != 1 {
+		t.Fatalf("crashes=%d recoveries=%d, want 1 and 1", lm.Crashes, lm.Recoveries)
 	}
-	if lm.Epochs < 1 || lm.RecoveryMS <= 0 {
-		t.Fatalf("epochs=%d recovery_ms=%v, want >= 1 and > 0", lm.Epochs, lm.RecoveryMS)
+	if lm.RecoveryMS < 10 {
+		t.Fatalf("recovery_ms=%v, want >= 10 (the restart delay)", lm.RecoveryMS)
 	}
 }
 

@@ -11,22 +11,19 @@ import (
 	"argan/internal/obs"
 )
 
-// Localized recovery (LiveConfig.Recovery: "local").
-//
-// The global strategy in livefault.go stops the whole cluster at a
-// consistent barrier for every checkpoint and rolls every fragment back when
-// one worker dies. The localized strategy keeps the survivors computing:
+// Localized crash recovery: the live driver's only crash-recovery protocol.
+// The cluster never stops; the survivors keep computing:
 //
 //   - Uncoordinated per-worker checkpoints: the monitor round-robins a
 //     checkpoint request to one worker at a time; the worker snapshots its
 //     own fragment state (Ψ, aux, active set, out-accumulators, sequence
-//     cursors, undo log) inline at its next safe point. No barrier, no park.
+//     cursors, undo log) inline at its next safe point. No barrier.
 //   - Sender-side message logging: every outbound batch is stamped with
 //     (incarnation, sender, seq) at ship time and a copy is retained in a
 //     driver-level per-link log until both endpoints' checkpoints commit it.
 //   - Exactly-once ingestion: receivers keep a per-sender cursor, drop
 //     duplicate sequence numbers and reorder-buffer gaps. This layer is also
-//     active (in either recovery mode) whenever the fault plan injects link
+//     active without crash recovery whenever the fault plan injects link
 //     faults, because dup/reorder fates are only safe for idempotent
 //     aggregation — Δ-PageRank's accumulative h_in is not.
 //
@@ -36,19 +33,11 @@ import (
 // (ace.IdempotentAggregator) w's uncommitted contributions and lower their
 // cursors — waits for all acks, restores w's last checkpoint, replays the
 // logged batches w lost since that checkpoint straight into its state, and
-// respawns the goroutine. The cluster epoch is never bumped and no survivor
-// loses post-checkpoint work.
+// respawns the goroutine. No survivor loses post-checkpoint work.
 
-// Recovery strategies accepted by LiveConfig.Recovery.
-const (
-	// RecoveryGlobal is PR 3's stop-and-sync checkpoints with whole-cluster
-	// rollback; the default, and the fallback for programs that declare
-	// neither ace.IdempotentAggregator nor ace.Inverter.
-	RecoveryGlobal = "global"
-	// RecoveryLocal is per-worker logging checkpoints with survivor-local
-	// repair and message replay.
-	RecoveryLocal = "local"
-)
+// RecoveryLocal names the protocol above. LiveConfig.Recovery accepts it
+// (and "") but it selects nothing: there is no other protocol.
+const RecoveryLocal = "local"
 
 // liveLogSoftCap is the retained-batch count across the whole message log
 // above which the monitor asks every live worker to checkpoint out of turn,
@@ -105,8 +94,8 @@ type recoverState[V any] struct {
 	robuf   []map[uint64][]ace.Message[V]
 	bounds  [][]incBound // acceptance bounds for old-incarnation envelopes
 	// undo logs applied contributions per sender for inversion on rollback;
-	// nil for idempotent programs (re-application is harmless) and outside
-	// local recovery (global rollback restores receivers wholesale).
+	// nil for idempotent programs (re-application is harmless) and on runs
+	// without crash recovery (no rollback notice ever arrives).
 	undo   [][]undoRec[V]
 	invert func(cur, contrib V) V
 
@@ -165,10 +154,10 @@ func (rs *recoverState[V]) boundLimit(s int, inc int32) uint64 {
 	return limit
 }
 
-// recoveryHooks probes the program's capability for localized recovery:
+// recoveryHooks probes the program's capability for crash recovery:
 // idempotent aggregation tolerates re-delivery outright; an Inverter lets
-// survivors un-apply uncommitted contributions. Programs with neither force
-// the driver back to global rollback.
+// survivors un-apply uncommitted contributions. RunLive rejects a plan that
+// restarts a crashed worker of a program with neither.
 func recoveryHooks[V any](prog ace.Program[V]) (capable bool, invert func(cur, contrib V) V) {
 	if ia, ok := any(prog).(ace.IdempotentAggregator); ok && ia.IdempotentAggregate() {
 		return true, nil
@@ -597,10 +586,10 @@ type localSnap[V any] struct {
 	page *snapPage
 }
 
-// takeLocalCkpt snapshots the calling worker's state inline (no barrier, no
-// park) and publishes it together with the stable cursors that let peers
-// prune their logs. Called only from the worker's own safe points, so the
-// state is quiescent: no half-applied batch, no half-flushed accumulator.
+// takeLocalCkpt snapshots the calling worker's state inline (no barrier) and
+// publishes it together with the stable cursors that let peers prune their
+// logs. Called only from the worker's own safe points, so the state is
+// quiescent: no half-applied batch, no half-flushed accumulator.
 func (d *liveDriver[V]) takeLocalCkpt(st *liveState[V]) {
 	id := st.id
 	rs := st.rs
@@ -1045,7 +1034,7 @@ func (d *liveDriver[V]) runLocalRecovery() bool {
 			tr.SpanEnd(d.n, obs.PhaseRecovery, ts())
 		}
 		d.wg.Add(1)
-		go d.worker(d.states[w], 0) // the epoch never bumps under local recovery
+		go d.worker(d.states[w])
 		revived = true
 	}
 	return revived
@@ -1084,7 +1073,7 @@ func (d *liveDriver[V]) stuckDetail() string {
 			fmt.Fprintf(&b, " log=%d", d.mlog.retainedFrom(i))
 		}
 	}
-	if d.localRec {
+	if d.recover {
 		fmt.Fprintf(&b, "\n  acks outstanding=%d", d.acksOut.Load())
 	}
 	return b.String()

@@ -1,18 +1,16 @@
 package gap
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"argan/internal/ace"
 	"argan/internal/algorithms"
 	"argan/internal/fault"
-	"argan/internal/obs"
 )
 
 // --- exactly-once layer unit tests -----------------------------------------
@@ -156,66 +154,57 @@ func TestMsgLog(t *testing.T) {
 
 // --- end-to-end localized recovery ------------------------------------------
 
-// localFTConfig is liveFTConfig with localized recovery selected.
-func localFTConfig() LiveConfig {
-	cfg := liveFTConfig(ModeGAP)
-	cfg.Recovery = RecoveryLocal
-	return cfg
-}
-
 // TestLiveLinkFaultsNonIdempotent: dup/reorder fates against programs whose
 // aggregation is NOT idempotent (Δ-PageRank's accumulative sum) and against
-// WCC, under both recovery strategies. The exactly-once ingestion layer must
-// keep the fixpoints correct — before this layer, a duplicated batch silently
-// double-counted rank mass.
+// WCC. The exactly-once ingestion layer must keep the fixpoints correct —
+// before this layer, a duplicated batch silently double-counted rank mass.
+// The "/local" subtest names are kept from when a second recovery protocol
+// existed.
 func TestLiveLinkFaultsNonIdempotent(t *testing.T) {
 	seed := strconv.FormatInt(chaosSeed(t), 10)
-	for _, mode := range []string{RecoveryGlobal, RecoveryLocal} {
-		t.Run("pagerank/"+mode, func(t *testing.T) {
-			g := testGraph(true, 13)
-			want := algorithms.SeqPageRank(g, 1e-3)
-			cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16, Recovery: mode}
-			cfg.Faults = faultPlan(t, "seed="+seed+"; dup=0.1; reorder=0.1; drop=0.05")
-			res, lm, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
-			if err != nil {
-				t.Fatalf("RunLive: %v", err)
+	t.Run("pagerank/local", func(t *testing.T) {
+		g := testGraph(true, 13)
+		want := algorithms.SeqPageRank(g, 1e-3)
+		cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16}
+		cfg.Faults = faultPlan(t, "seed="+seed+"; dup=0.1; reorder=0.1; drop=0.05")
+		res, lm, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
+		if err != nil {
+			t.Fatalf("RunLive: %v", err)
+		}
+		for v, w := range want {
+			if math.Abs(res.Values[v]-w) > 0.02*(w+1) {
+				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
-			for v, w := range want {
-				if math.Abs(res.Values[v]-w) > 0.02*(w+1) {
-					t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
-				}
+		}
+		if lm.Crashes != 0 || lm.Recoveries != 0 {
+			t.Fatalf("unexpected fault accounting: %+v", lm)
+		}
+	})
+	t.Run("wcc/local", func(t *testing.T) {
+		g := testGraph(false, 14)
+		want := algorithms.SeqWCC(g)
+		cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16}
+		cfg.Faults = faultPlan(t, "seed="+seed+"; dup=0.1; reorder=0.1")
+		res, _, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
+		if err != nil {
+			t.Fatalf("RunLive: %v", err)
+		}
+		for v, w := range want {
+			if res.Values[v] != w {
+				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
-			if lm.Crashes != 0 || lm.Epochs != 0 {
-				t.Fatalf("unexpected fault accounting: %+v", lm)
-			}
-		})
-		t.Run("wcc/"+mode, func(t *testing.T) {
-			g := testGraph(false, 14)
-			want := algorithms.SeqWCC(g)
-			cfg := LiveConfig{Mode: ModeGAP, CheckEvery: 16, Recovery: mode}
-			cfg.Faults = faultPlan(t, "seed="+seed+"; dup=0.1; reorder=0.1")
-			res, _, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
-			if err != nil {
-				t.Fatalf("RunLive: %v", err)
-			}
-			for v, w := range want {
-				if res.Values[v] != w {
-					t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// TestLiveLocalRecoveryMatchesFaultFree is the localized mirror of
-// TestLiveCrashRecoveryMatchesFaultFree: crashes are repaired by per-worker
-// restore + log replay, the answers still match the sequential reference, and
-// the cluster epoch is NEVER bumped.
+// TestLiveLocalRecoveryMatchesFaultFree: crashes are repaired by per-worker
+// restore + log replay and the answers still match the sequential reference.
+// It runs the same plans as TestLiveCrashRecoveryMatchesFaultFree.
 func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 	t.Run("sssp", func(t *testing.T) {
 		g := testGraph(true, 3)
 		want := algorithms.SeqSSSP(g, 0)
-		cfg := localFTConfig()
+		cfg := liveFTConfig(ModeGAP)
 		cfg.Faults = faultPlan(t, "crash=1@u40+10")
 		res, lm, err := RunLive(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)
 		if err != nil {
@@ -226,20 +215,14 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
 		}
-		if lm.Recovery != RecoveryLocal {
-			t.Fatalf("effective recovery %q, want local", lm.Recovery)
-		}
 		if lm.Crashes != 1 || lm.Recoveries < 1 {
 			t.Fatalf("crashes=%d recoveries=%d, want 1 and >=1", lm.Crashes, lm.Recoveries)
-		}
-		if lm.Epochs != 0 {
-			t.Fatalf("local recovery bumped the epoch %d times", lm.Epochs)
 		}
 	})
 	t.Run("pagerank", func(t *testing.T) {
 		g := testGraph(true, 4)
 		want := algorithms.SeqPageRank(g, 1e-3)
-		cfg := localFTConfig()
+		cfg := liveFTConfig(ModeGAP)
 		// The slowdown stretches the run so the crash lands with real
 		// uncommitted rank in flight (survivor undo logs must invert it).
 		cfg.Faults = faultPlan(t, "crash=2@u60+10; slow=1@0:200:30")
@@ -252,9 +235,6 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
 		}
-		if lm.Recovery != RecoveryLocal || lm.Epochs != 0 {
-			t.Fatalf("recovery=%q epochs=%d, want local/0", lm.Recovery, lm.Epochs)
-		}
 		if lm.Crashes != 1 || lm.Recoveries < 1 {
 			t.Fatalf("crashes=%d recoveries=%d, want 1 and >=1", lm.Crashes, lm.Recoveries)
 		}
@@ -262,7 +242,7 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 	t.Run("wcc_double_crash", func(t *testing.T) {
 		g := testGraph(false, 5)
 		want := algorithms.SeqWCC(g)
-		cfg := localFTConfig()
+		cfg := liveFTConfig(ModeGAP)
 		cfg.Faults = faultPlan(t, "crash=0@u40+5; crash=3@u80+15")
 		res, lm, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
 		if err != nil {
@@ -273,146 +253,151 @@ func TestLiveLocalRecoveryMatchesFaultFree(t *testing.T) {
 				t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
 			}
 		}
-		if lm.Crashes != 2 || lm.Recoveries < 1 || lm.Epochs != 0 {
-			t.Fatalf("crashes=%d recoveries=%d epochs=%d", lm.Crashes, lm.Recoveries, lm.Epochs)
+		if lm.Crashes != 2 || lm.Recoveries < 1 {
+			t.Fatalf("crashes=%d recoveries=%d", lm.Crashes, lm.Recoveries)
 		}
 	})
 }
 
 // opaqueProg hides a program's optional capability interfaces: only the core
 // ace.Program methods are promoted through the embedded interface, so
-// recoveryHooks sees neither IdempotentAggregator nor Inverter.
-type opaqueProg struct{ ace.Program[float64] }
-
-// opaqueFactory wraps a factory so every instance it yields is opaque.
-func opaqueFactory(f ace.Factory[float64]) ace.Factory[float64] {
-	return func() ace.Program[float64] { return opaqueProg{f()} }
+// recoveryHooks sees neither IdempotentAggregator nor Inverter. It counts
+// Update calls so a test can tell whether any worker ran.
+type opaqueProg struct {
+	ace.Program[float64]
+	updates *atomic.Int64
 }
 
-// TestLiveLocalRecoveryDowngrade: a program with neither recovery hook must
-// silently fall back to global rollback — and LiveMetrics.Recovery reports it.
-func TestLiveLocalRecoveryDowngrade(t *testing.T) {
+func (p opaqueProg) Update(ctx *ace.Ctx[float64], local uint32) {
+	p.updates.Add(1)
+	p.Program.Update(ctx, local)
+}
+
+// TestLiveRecoveryNeedsHooks: a plan that restarts a crashed worker of a
+// program with neither recovery hook is rejected before any worker starts.
+// The same program still converges when no restart is armed: fault-free,
+// and under NoRecover with the same restart plan whose crash never fires.
+func TestLiveRecoveryNeedsHooks(t *testing.T) {
 	g := testGraph(true, 3)
 	want := algorithms.SeqSSSP(g, 0)
-	cfg := localFTConfig()
+	var updates atomic.Int64
+	factory := func() ace.Program[float64] { return opaqueProg{algorithms.NewSSSP()(), &updates} }
+
+	health := &HealthTracker{}
+	cfg := liveFTConfig(ModeGAP)
 	cfg.Faults = faultPlan(t, "crash=1@u40+10")
-	res, lm, err := RunLive(frags(t, g, 4), opaqueFactory(algorithms.NewSSSP()), ace.Query{Source: 0}, cfg)
-	if err != nil {
-		t.Fatalf("RunLive: %v", err)
+	cfg.Health = health
+	_, _, err := RunLive(frags(t, g, 4), factory, ace.Query{Source: 0}, cfg)
+	if err == nil || !strings.Contains(err.Error(), "declares neither") {
+		t.Fatalf("want a missing-hooks error, got %v", err)
 	}
-	for v, w := range want {
-		if res.Values[v] != w {
-			t.Fatalf("vertex %d: got %v want %v", v, res.Values[v], w)
+	if n := updates.Load(); n != 0 {
+		t.Fatalf("%d updates ran before the plan was rejected", n)
+	}
+	if h := health.Health(); h.Running || h.Completed+h.Failed != 0 {
+		t.Fatalf("rejected run reached the health tracker: %+v", h)
+	}
+
+	for _, c := range []struct {
+		name, plan string
+		noRecover  bool
+	}{
+		{"fault-free", "", false},
+		{"no-recover", "crash=1@u1000000000+10", true},
+	} {
+		cfg := liveFTConfig(ModeGAP)
+		cfg.NoRecover = c.noRecover
+		if c.plan != "" {
+			cfg.Faults = faultPlan(t, c.plan)
 		}
-	}
-	if lm.Recovery != RecoveryGlobal {
-		t.Fatalf("effective recovery %q, want downgrade to global", lm.Recovery)
-	}
-	if lm.Recoveries >= 1 && lm.Epochs < 1 {
-		t.Fatalf("global recovery without an epoch bump: %+v", lm)
+		res, _, err := RunLive(frags(t, g, 4), factory, ace.Query{Source: 0}, cfg)
+		if err != nil {
+			t.Fatalf("%s: RunLive: %v", c.name, err)
+		}
+		for v, w := range want {
+			if res.Values[v] != w {
+				t.Fatalf("%s: vertex %d: got %v want %v", c.name, v, res.Values[v], w)
+			}
+		}
 	}
 }
 
+// TestLiveUnknownRecoveryStrategy: LiveConfig.Recovery accepts "" and
+// "local" only; "global" names a protocol that no longer exists.
 func TestLiveUnknownRecoveryStrategy(t *testing.T) {
 	g := testGraph(true, 3)
-	cfg := LiveConfig{Mode: ModeGAP, Recovery: "zonal"}
-	if _, _, err := RunLive(frags(t, g, 2), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg); err == nil ||
-		!strings.Contains(err.Error(), "unknown recovery strategy") {
-		t.Fatalf("want unknown-strategy error, got %v", err)
+	for _, strategy := range []string{"zonal", "global"} {
+		cfg := LiveConfig{Mode: ModeGAP, Recovery: strategy}
+		if _, _, err := RunLive(frags(t, g, 2), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg); err == nil ||
+			!strings.Contains(err.Error(), "unknown recovery strategy") {
+			t.Fatalf("%q: want unknown-strategy error, got %v", strategy, err)
+		}
+	}
+	cfg := LiveConfig{Mode: ModeGAP, Recovery: RecoveryLocal}
+	if _, _, err := RunLive(frags(t, g, 2), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg); err != nil {
+		t.Fatalf("%q: %v", RecoveryLocal, err)
 	}
 }
 
 // TestLiveChaosSoak is the acceptance soak: deterministic crash+drop+dup+
 // reorder storms (seeded from CHAOS_SEED) over SSSP, PageRank and WCC. Every
-// run must reach the sequential fixpoint, and in local mode the trace must
-// show ZERO global epoch bumps. CHAOS_RECOVERY pins one strategy (the CI
-// chaos matrix sets it); unset runs both.
+// run must reach the sequential fixpoint. The "local/" subtest prefix is kept
+// from when a second recovery protocol existed.
 func TestLiveChaosSoak(t *testing.T) {
-	modes := []string{RecoveryGlobal, RecoveryLocal}
-	if m := os.Getenv("CHAOS_RECOVERY"); m != "" {
-		modes = []string{m}
-	}
 	nSeeds := 5
 	if testing.Short() {
 		nSeeds = 2
 	}
 	base := chaosSeed(t)
-	for _, mode := range modes {
-		for i := 0; i < nSeeds; i++ {
-			seed := base + int64(i)
-			storm := fault.Storm(seed, 4, fault.StormOpts{
-				Crashes: 2, Span: 300, Restart: 5,
-				Drop: 0.04, Dup: 0.04, Reorder: 0.05,
+	for i := 0; i < nSeeds; i++ {
+		seed := base + int64(i)
+		storm := fault.Storm(seed, 4, fault.StormOpts{
+			Crashes: 2, Span: 300, Restart: 5,
+			Drop: 0.04, Dup: 0.04, Reorder: 0.05,
+		})
+		for _, app := range []string{"sssp", "pagerank", "wcc"} {
+			t.Run(fmt.Sprintf("local/seed%d/%s", seed, app), func(t *testing.T) {
+				cfg := liveFTConfig(ModeGAP)
+				cfg.Faults = storm
+				switch app {
+				case "sssp":
+					g := testGraph(true, seed)
+					want := algorithms.SeqSSSP(g, 0)
+					res, _, err := RunLive(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)
+					if err != nil {
+						t.Fatalf("RunLive(%s): %v", storm, err)
+					}
+					for v, w := range want {
+						if res.Values[v] != w {
+							t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
+						}
+					}
+				case "pagerank":
+					g := testGraph(true, seed)
+					want := algorithms.SeqPageRank(g, 1e-3)
+					res, _, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
+					if err != nil {
+						t.Fatalf("RunLive(%s): %v", storm, err)
+					}
+					for v, w := range want {
+						if math.Abs(res.Values[v]-w) > 0.02*(w+1) {
+							t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
+						}
+					}
+				case "wcc":
+					g := testGraph(false, seed)
+					want := algorithms.SeqWCC(g)
+					res, _, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
+					if err != nil {
+						t.Fatalf("RunLive(%s): %v", storm, err)
+					}
+					for v, w := range want {
+						if res.Values[v] != w {
+							t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
+						}
+					}
+				}
 			})
-			for _, app := range []string{"sssp", "pagerank", "wcc"} {
-				t.Run(fmt.Sprintf("%s/seed%d/%s", mode, seed, app), func(t *testing.T) {
-					cfg := liveFTConfig(ModeGAP)
-					cfg.Recovery = mode
-					cfg.Faults = storm
-					var rec *obs.Recorder
-					if mode == RecoveryLocal {
-						rec = obs.NewRecorder(5, 1<<14)
-						cfg.Tracer = rec
-					}
-					var lm LiveMetrics
-					switch app {
-					case "sssp":
-						g := testGraph(true, seed)
-						want := algorithms.SeqSSSP(g, 0)
-						res, m, err := RunLive(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)
-						if err != nil {
-							t.Fatalf("RunLive(%s): %v", storm, err)
-						}
-						lm = *m
-						for v, w := range want {
-							if res.Values[v] != w {
-								t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
-							}
-						}
-					case "pagerank":
-						g := testGraph(true, seed)
-						want := algorithms.SeqPageRank(g, 1e-3)
-						res, m, err := RunLive(frags(t, g, 4), algorithms.NewPageRank(), ace.Query{Eps: 1e-3}, cfg)
-						if err != nil {
-							t.Fatalf("RunLive(%s): %v", storm, err)
-						}
-						lm = *m
-						for v, w := range want {
-							if math.Abs(res.Values[v]-w) > 0.02*(w+1) {
-								t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
-							}
-						}
-					case "wcc":
-						g := testGraph(false, seed)
-						want := algorithms.SeqWCC(g)
-						res, m, err := RunLive(frags(t, g, 4), algorithms.NewWCC(), ace.Query{}, cfg)
-						if err != nil {
-							t.Fatalf("RunLive(%s): %v", storm, err)
-						}
-						lm = *m
-						for v, w := range want {
-							if res.Values[v] != w {
-								t.Fatalf("vertex %d: got %v want %v (storm %s)", v, res.Values[v], w, storm)
-							}
-						}
-					}
-					if mode == RecoveryLocal {
-						if lm.Recovery != RecoveryLocal {
-							t.Fatalf("effective recovery %q, want local", lm.Recovery)
-						}
-						if lm.Epochs != 0 {
-							t.Fatalf("%d global epoch bumps under local recovery (storm %s)", lm.Epochs, storm)
-						}
-						var buf bytes.Buffer
-						if err := rec.WriteChromeTrace(&buf); err != nil {
-							t.Fatalf("export: %v", err)
-						}
-						if strings.Contains(buf.String(), `"name":"epoch"`) {
-							t.Fatalf("trace records a global epoch bump under local recovery (storm %s)", storm)
-						}
-					}
-				})
-			}
 		}
 	}
 }

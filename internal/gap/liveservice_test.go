@@ -117,7 +117,7 @@ func (p *bombProg) Update(ctx *ace.Ctx[float64], local uint32) {
 func TestPeerEtaReseedAfterNeighborRestart(t *testing.T) {
 	g := testGraph(true, 45)
 	rec := obs.NewRecorder(4, 1<<16)
-	cfg := localFTConfig()
+	cfg := liveFTConfig(ModeGAP)
 	cfg.CheckEvery = 16
 	cfg.CheckpointEvery = 500 * time.Millisecond // stale checkpoints → big replay
 	cfg.Tracer = rec
@@ -156,8 +156,8 @@ func TestHealthTrackerTransitions(t *testing.T) {
 		t.Fatalf("zero tracker: %+v", h)
 	}
 
-	tr.runStarted(4, RecoveryLocal, time.Second)
-	if h := tr.Health(); !h.Running || h.Workers != 4 || h.Recovery != RecoveryLocal {
+	tr.runStarted(4, time.Second)
+	if h := tr.Health(); !h.Running || h.Workers != 4 || h.Watchdog != time.Second {
 		t.Fatalf("after runStarted: %+v", h)
 	}
 
@@ -184,7 +184,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	// Draining latches across runStarted: a draining process never reports
 	// ready again, even if another run begins meanwhile.
 	tr.SetDraining(true)
-	tr.runStarted(2, RecoveryGlobal, 0)
+	tr.runStarted(2, 0)
 	if h := tr.Health(); !h.Draining || !h.Running || h.Workers != 2 {
 		t.Fatalf("draining must survive runStarted: %+v", h)
 	}
@@ -197,7 +197,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	// unconditionally).
 	var nilTr *HealthTracker
 	nilTr.SetDraining(true)
-	nilTr.runStarted(1, "", 0)
+	nilTr.runStarted(1, 0)
 	nilTr.runEnded(nil)
 	if h := nilTr.Health(); h.Running {
 		t.Fatalf("nil tracker: %+v", h)
@@ -210,7 +210,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 func TestHealthTrackerAcrossLiveRestart(t *testing.T) {
 	g := testGraph(true, 46)
 	health := &HealthTracker{}
-	cfg := localFTConfig()
+	cfg := liveFTConfig(ModeGAP)
 	cfg.Health = health
 	cfg.Faults = faultPlan(t, "crash=1@u60+10")
 	_, lm, err := RunLive(frags(t, g, 4), algorithms.NewSSSP(), ace.Query{Source: 0}, cfg)

@@ -1,15 +1,11 @@
 package gap
 
 import (
-	"context"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 
 	"argan/internal/ace"
 	"argan/internal/graph"
 	"argan/internal/mem"
-	"argan/internal/obs"
 )
 
 // batchPool recycles message batches between senders and receivers: takeOut
@@ -98,9 +94,9 @@ type liveState[V any] struct {
 
 	out []liveOutAcc[V]
 
-	// rs is the exactly-once ingestion and localized-recovery state (per-peer
+	// rs is the exactly-once ingestion and crash-recovery state (per-peer
 	// sequence cursors, reorder buffers, sender incarnations, undo log). nil
-	// unless the live driver runs with link faults or Recovery: local — the
+	// unless the live driver runs with link faults or crash restarts — the
 	// default pipeline carries no sequencing overhead.
 	rs *recoverState[V]
 
@@ -360,123 +356,6 @@ func (st *liveState[V]) finalPsi(into []V) {
 	for l := uint32(0); int(l) < st.frag.NumOwned(); l++ {
 		into[st.frag.Global(l)] = st.psi[l]
 	}
-}
-
-// BSPOptions parameterizes the live BSP driver.
-type BSPOptions struct {
-	// MaxSupersteps bounds the run (<= 0 means effectively unbounded).
-	MaxSupersteps int
-	// Tracer receives superstep spans and counters; nil disables tracing.
-	// When set, each worker's superstep becomes a PhaseSuperstep span
-	// (wall-µs timestamps) with per-superstep update/message counters and
-	// active-set gauges, and worker goroutines carry runtime/pprof
-	// worker/phase labels so CPU profiles attribute samples to supersteps.
-	Tracer obs.Tracer
-}
-
-// RunLiveBSP executes the program under a real-concurrency bulk-synchronous
-// driver: per superstep every worker runs its local fixpoint in its own
-// goroutine, a sync.WaitGroup barrier closes the superstep, and the batches
-// are exchanged before the next one starts — Grape's execution model on
-// goroutines.
-func RunLiveBSP[V any](frags []*graph.Fragment, factory ace.Factory[V], q ace.Query, o BSPOptions) (*Result[V], *LiveMetrics, error) {
-	if len(frags) == 0 {
-		return nil, nil, errNoFragments
-	}
-	maxSupersteps := o.MaxSupersteps
-	if maxSupersteps <= 0 {
-		maxSupersteps = 1 << 20
-	}
-	tr := o.Tracer
-	n := len(frags)
-	pool := &batchPool[V]{}
-	states := make([]*liveState[V], n)
-	for i := range states {
-		states[i] = newLiveState(i, frags[i], factory(), q, pool)
-	}
-	inbox := make([][][]ace.Message[V], n) // inbox[worker] = batches
-	m := &LiveMetrics{}
-	start := nowFn()
-	ts := func() float64 { return float64(sinceFn(start)) / 1e3 }
-
-	for step := 0; step < maxSupersteps; step++ {
-		m.Rounds++
-		var wg waitGroup
-		updates := make([]int64, n)
-		for i := range states {
-			st := states[i]
-			batches := inbox[i]
-			inbox[i] = nil
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if tr != nil {
-					pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-						pprof.Labels("worker", strconv.Itoa(i), "phase", "superstep")))
-					defer pprof.SetGoroutineLabels(context.Background())
-					t0 := ts()
-					tr.SpanBegin(i, obs.PhaseSuperstep, t0)
-					tr.Sample(i, obs.GaugeMailbox, t0, float64(len(batches)))
-				}
-				for _, b := range batches {
-					st.ingest(b)
-					pool.put(b)
-				}
-				if tr != nil {
-					tr.Sample(i, obs.GaugeActive, ts(), float64(st.active.Len()))
-				}
-				for !st.active.Empty() {
-					v := st.active.Pop()
-					st.prog.Update(st.ctx, v)
-					updates[i]++
-				}
-				if tr != nil {
-					t1 := ts()
-					tr.Count(i, obs.CounterUpdates, t1, updates[i])
-					tr.SpanEnd(i, obs.PhaseSuperstep, t1)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for i := range updates {
-			m.Updates += updates[i]
-		}
-		// Exchange at the barrier.
-		any := false
-		for i, st := range states {
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
-				}
-				if msgs := st.takeOut(j); msgs != nil {
-					inbox[j] = append(inbox[j], msgs)
-					m.MsgsSent += int64(len(msgs))
-					m.Batches++
-					if tr != nil {
-						tr.Count(i, obs.CounterMsgsSent, ts(), int64(len(msgs)))
-					}
-					any = true
-				}
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	m.WallTime = sinceFn(start)
-
-	res := &Result[V]{
-		Values: make([]V, frags[0].GlobalVertices()),
-		Psi:    make([]V, frags[0].GlobalVertices()),
-	}
-	for _, st := range states {
-		st.outputs(res.Values)
-		st.finalPsi(res.Psi)
-	}
-	res.Metrics.Converged = true
-	res.Metrics.Mode = ModeBSP
-	res.Metrics.Supersteps = m.Rounds
-	return res, m, nil
 }
 
 // Indirections shared with live.go (kept tiny so tests can stub time).

@@ -2,13 +2,10 @@ package gap
 
 import (
 	"errors"
-	"sync"
 	"time"
 )
 
 var errNoFragments = errors.New("gap: no fragments")
-
-type waitGroup = sync.WaitGroup
 
 func timeNow() time.Time                  { return time.Now() }
 func timeSince(t time.Time) time.Duration { return time.Since(t) }

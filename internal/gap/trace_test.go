@@ -172,23 +172,6 @@ func TestLiveTraceSane(t *testing.T) {
 	}
 }
 
-// TestLiveBSPTraceSane: superstep spans under the live BSP driver.
-func TestLiveBSPTraceSane(t *testing.T) {
-	g := testGraph(false, 5)
-	rec := obs.NewRecorder(3, 0)
-	_, lm, err := RunLiveBSP(frags(t, g, 3), algorithms.NewWCC(), ace.Query{}, BSPOptions{Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var upd int64
-	for _, w := range rec.Snapshot().Workers {
-		upd += w.Updates
-	}
-	if upd != lm.Updates {
-		t.Errorf("traced updates %d != LiveMetrics.Updates %d", upd, lm.Updates)
-	}
-}
-
 // TestMetricsAvgZeroWorkers: regression for AvgTw/AvgTc/AvgTa returning NaN
 // on a zero-value Metrics (no workers).
 func TestMetricsAvgZeroWorkers(t *testing.T) {

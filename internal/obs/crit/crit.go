@@ -4,7 +4,7 @@
 //
 // Attribution is deterministic and purely trace-driven: each worker's share
 // of the run window is split into buckets by the innermost open span at each
-// instant — compute (LocalEval/h_in/h_out/Adjust/superstep), replay
+// instant — compute (LocalEval/h_in/h_out/Adjust), replay
 // (recovery, checkpoint and replay spans), spill (page-outs), throttle
 // (backpressure pauses) — and every instant not
 // covered by any span is wait. The buckets therefore always account for the
@@ -88,7 +88,7 @@ func bucketOf(p obs.Phase) int {
 		return BucketSpill
 	case obs.PhaseThrottle:
 		return BucketThrottle
-	case obs.PhaseLocalEval, obs.PhaseHin, obs.PhaseHout, obs.PhaseAdjust, obs.PhaseSuperstep:
+	case obs.PhaseLocalEval, obs.PhaseHin, obs.PhaseHout, obs.PhaseAdjust:
 		return BucketCompute
 	}
 	return BucketOther

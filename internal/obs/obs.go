@@ -31,8 +31,6 @@ const (
 	PhaseHout
 	// PhaseAdjust is one granularity adjustment (Algorithm 2 phase 2).
 	PhaseAdjust
-	// PhaseSuperstep is one superstep of the live BSP driver.
-	PhaseSuperstep
 	// PhaseRecovery spans a fault recovery: from failure detection to the
 	// crashed worker's restart (rollback + state restore + replay).
 	PhaseRecovery
@@ -62,8 +60,6 @@ func (p Phase) String() string {
 		return "h_out"
 	case PhaseAdjust:
 		return "Adjust"
-	case PhaseSuperstep:
-		return "superstep"
 	case PhaseRecovery:
 		return "recovery"
 	case PhaseCheckpoint:
@@ -233,10 +229,6 @@ const (
 	// MarkReplay fires when a survivor finishes replaying its logged
 	// batches to a restored worker (localized recovery).
 	MarkReplay
-	// MarkEpoch fires on the coordinator track when a global rollback bumps
-	// the cluster epoch; localized recoveries never emit it, which is how
-	// the chaos soak asserts "zero global epoch bumps".
-	MarkEpoch
 	// MarkSpill fires on a worker's track when governed state pages out to
 	// the spill tier (log entries, a checkpoint, or the fragment's edges).
 	MarkSpill
@@ -266,8 +258,6 @@ func (m Mark) String() string {
 		return "ckpt"
 	case MarkReplay:
 		return "replay"
-	case MarkEpoch:
-		return "epoch"
 	case MarkSpill:
 		return "spill"
 	}

@@ -75,7 +75,6 @@ func (s *Service) runOne(j *job) (*JobResult, error) {
 	cfg := gap.LiveConfig{
 		Mode:        gap.ModeGAP,
 		CheckEvery:  sp.CheckEvery,
-		Recovery:    gap.RecoveryLocal,
 		Faults:      plan,
 		Mem:         gov,
 		Health:      j.health,
@@ -168,8 +167,6 @@ func incRun(pin pinned, sp JobSpec, app core.LiveEntry, q ace.Query, cfg gap.Liv
 		Crashes:    lm.Crashes,
 		Recoveries: lm.Recoveries,
 		Replayed:   lm.Replayed,
-		Epochs:     lm.Epochs,
-		Recovery:   lm.Recovery,
 		MemPeak:    lm.MemPeakBytes,
 		Spilled:    lm.SpilledBytes,
 

@@ -221,8 +221,6 @@ type JobResult struct {
 	Crashes    int64   `json:"crashes"`
 	Recoveries int64   `json:"recoveries"`
 	Replayed   int64   `json:"replayed"`
-	Epochs     int64   `json:"epochs"`
-	Recovery   string  `json:"recovery,omitempty"`
 	MemPeak    int64   `json:"mem_peak_bytes,omitempty"`
 	Spilled    int64   `json:"spilled_bytes,omitempty"`
 	// Version is the dataset version the job pinned at dispatch.
